@@ -7,7 +7,7 @@ re-expressed over ``ray.data.Dataset`` pipelines:
 
 - zero-copy Arrow ``map_batches`` for fetch / validate / decode / extract,
 - actor pools for stateful components (sharded cuckoo-fronted URL-seen set,
-  per-host token-bucket politeness, metrics),
+  per-host token-bucket politeness),
 - ``groupby``/``map_groups`` shuffles for dedup, per-key keep-latest, and
   long→wide pivoting,
 - per-partition checkpoints (url-sha1 hash ranges) with lineage records.

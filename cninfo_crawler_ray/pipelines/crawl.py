@@ -17,7 +17,7 @@ import pandas as pd
 from ..config import CrawlConfig
 from ..sources import corpus as fixtures
 from ..state.politeness import PolitenessGate
-from ..state.seen import ShardedSeenSet
+from ..state.seen import ShardedSeenSet, admit
 from . import stage1, stage2
 
 
@@ -207,29 +207,10 @@ def run_crawl(
                 self.shards = shards
 
             def __call__(self, df: pd.DataFrame) -> pd.DataFrame:
-                import ray as _ray
-
                 if len(df) == 0:
                     return df
-                # vectorized shard routing (ADVICE r03): one hex decode for
-                # the whole batch, first-4-byte u32 via a strided frombuffer
-                # view (sha1 = 5 big-endian u32s per key), numpy divide
                 raw = bytes.fromhex("".join(df["url_sha1"]))
-                u32 = np.frombuffer(raw, dtype=">u4")[::5].astype(np.uint64)
-                width = (1 << 32) // len(self.shards) + 1
-                shard = (u32 // np.uint64(width)).astype(np.int64)
-                seqs = df["order_key"].to_numpy()
-                is_new = np.zeros(len(df), dtype=bool)
-                futs, idxs_by = {}, {}
-                for s in np.unique(shard):
-                    idxs = np.flatnonzero(shard == s)
-                    keys = [raw[20 * i:20 * i + 20] for i in idxs]
-                    futs[int(s)] = self.shards[int(s)].contains_and_add \
-                        .remote(keys, seqs[idxs].tolist())
-                    idxs_by[int(s)] = idxs
-                for s, idxs in idxs_by.items():
-                    is_new[idxs] = _ray.get(futs[s])
-                return df[is_new]
+                return df[admit(self.shards, raw, df["order_key"].to_numpy())]
 
         frontier = frontier.map_batches(
             Admit, fn_constructor_args=(seen.shards,), batch_format="pandas",
@@ -276,10 +257,11 @@ def run_crawl(
                                                     schedule_out)
 
     decoded = stage2.fetch_decode(frontier, f"{fdir}/corpus.parquet", cfg, concurrency=concurrency)
-    long_ds = stage2.long_from_decoded(decoded)
-    wide_ds = stage2.wide_from_long(long_ds)
+    # materialized: the long and wide views below each consume it, and a
+    # lazy plan would fetch and decode every URL once per view
+    long_ds = stage2.long_from_decoded(decoded).materialize()
     long_df = stage2.long_view(long_ds)
-    wide_df = stage2.wide_view(wide_ds)
+    wide_df = stage2.wide_view(stage2.wide_from_long(long_ds))
     counters["long_rows"] = len(long_df)
     counters["wide_rows"] = len(wide_df)
     out = {"long": long_df, "wide": wide_df, "counters": counters}

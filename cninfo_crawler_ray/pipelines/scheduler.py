@@ -49,7 +49,7 @@ import ray.data as rd
 from ..config import CrawlConfig
 from ..state.frontier import ShardedFrontier
 from ..state.politeness import PolitenessGate
-from ..state.seen import ShardedSeenSet
+from ..state.seen import ShardedSeenSet, admit, sha1_prefix
 from . import stage1, stage2
 
 #: hard bound on consecutive fully-denied waves. With min-refill clock
@@ -83,28 +83,15 @@ class _SeedBatch:
             return pd.DataFrame({"admitted": pd.Series([], dtype="int64"),
                                  "total": pd.Series([], dtype="int64")})
         df = df[self.columns]  # canonical column order for heap row layout
-        keys = [bytes.fromhex(h) for h in df["url_sha1"]]
-        seqs = df["order_key"].tolist()
-        width = (1 << 32) // len(self.seen_shards) + 1
-        by_shard: dict[int, list[int]] = {}
-        for i, k in enumerate(keys):
-            by_shard.setdefault(int.from_bytes(k[:4], "big") // width, []).append(i)
-        futs = {
-            s: self.seen_shards[s].contains_and_add.remote(
-                [keys[i] for i in idxs], [seqs[i] for i in idxs])
-            for s, idxs in by_shard.items()
-        }
-        is_new = np.zeros(len(keys), dtype=bool)
-        for s, idxs in by_shard.items():
-            for i, new in zip(idxs, ray.get(futs[s])):
-                is_new[i] = new
+        raw = bytes.fromhex("".join(df["url_sha1"]))
+        is_new = admit(self.seen_shards, raw, df["order_key"].to_numpy())
         adm = df[is_new]
-        pushes: dict[int, list[list]] = {}
-        n_fr = len(self.frontier_shards)
-        for h, row in zip(adm["url_sha1"], adm.values.tolist()):
-            pushes.setdefault(int(h[:8], 16) % n_fr, []).append(row)
-        ray.get([self.frontier_shards[s].push.remote(self.columns, rows, self.dtypes)
-                 for s, rows in pushes.items()])
+        rows = adm.values.tolist()
+        fshard = sha1_prefix(raw)[is_new] % len(self.frontier_shards)
+        ray.get([self.frontier_shards[s].push.remote(
+                     self.columns, [rows[i] for i in np.flatnonzero(fshard == s)],
+                     self.dtypes)
+                 for s in np.unique(fshard)])
         return pd.DataFrame({"admitted": [len(adm)], "total": [len(df)]})
 
 
@@ -206,7 +193,10 @@ def run_scheduled_crawl(
         # garbage-collect any half-written round from the kill
         storage.gc_partial_rounds(rounds_dir)
     else:
-        frontier_ds = stage1.build_frontier(fixture_dir, cfg, concurrency=concurrency)
+        # materialized: the head read and the seeding map below each
+        # consume it, and a lazy plan would run stage 1 once per read
+        frontier_ds = stage1.build_frontier(
+            fixture_dir, cfg, concurrency=concurrency).materialize()
         if use_actors:
             # distributed seed: admission RPC + heap push happen inside the
             # map tasks; only per-batch counts (and one metadata row) reach
@@ -225,9 +215,9 @@ def run_scheduled_crawl(
         else:
             # in-process shards (unit tests): driver-side admission
             fdf = frontier_ds.to_pandas()
-            keys = [bytes.fromhex(h) for h in fdf["url_sha1"]]
-            is_new = seen.contains_and_add(keys, fdf["order_key"].tolist())
-            fdf = fdf[np.array(is_new)].reset_index(drop=True)
+            is_new = admit(seen.shards, bytes.fromhex("".join(fdf["url_sha1"])),
+                           fdf["order_key"].to_numpy())
+            fdf = fdf[is_new].reset_index(drop=True)
             fr.push_pandas(fdf)
             counters["frontier_rows"] = len(fdf)
 

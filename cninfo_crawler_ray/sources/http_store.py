@@ -36,6 +36,10 @@ from urllib.parse import urlsplit
 import numpy as np
 import pyarrow as pa
 
+#: what a failed request raises after its retry; fetch stages map it to
+#: status 0 for that URL instead of failing the batch
+_TRANSPORT_ERRORS = (OSError, http.client.HTTPException)
+
 
 def open_store(path_or_url: str):
     """Transport factory: ``http(s)://`` → :class:`HttpStore`, anything else
@@ -88,7 +92,7 @@ class HttpStore:
                 r = conn.getresponse()
                 body = r.read()  # always drain so keep-alive stays usable
                 return r.status, {k.lower(): v for k, v in r.getheaders()}, body
-            except (http.client.HTTPException, ConnectionError, OSError):
+            except _TRANSPORT_ERRORS:
                 self._conn = None
                 if attempt:
                     raise
@@ -105,7 +109,7 @@ class HttpStore:
         for u in urls:
             try:
                 s, h, _ = self._request("HEAD", self._path_of(u))
-            except OSError:
+            except _TRANSPORT_ERRORS:
                 s, h = 0, {}
             status.append(s)
             ctype.append(h.get("content-type", "") if s == 200 else "")
@@ -126,7 +130,7 @@ class HttpStore:
                 s, _, body = self._request(
                     "GET", self._path_of(u),
                     headers={"Range": f"bytes=0-{n - 1}"})
-            except OSError:
+            except _TRANSPORT_ERRORS:
                 s, body = 0, b""
             out.append(body[:n] if s in (200, 206) else b"")
         return out
@@ -154,7 +158,7 @@ class HttpStore:
         for u in urls:
             try:
                 s, h, body = self._request("GET", self._path_of(u))
-            except OSError:
+            except _TRANSPORT_ERRORS:
                 s, h, body = 0, {}, b""
             ok = s == 200 and len(body) > 0
             status.append(s if s else 0)

@@ -25,6 +25,36 @@ from __future__ import annotations
 import hashlib
 import pickle
 
+import numpy as np
+
+
+def sha1_prefix(raw: bytes) -> np.ndarray:
+    """Leading big-endian u32 of each 20-byte SHA1 key concatenated in
+    ``raw`` (a strided view: a key is five u32s)."""
+    return np.frombuffer(raw, dtype=">u4")[::5]
+
+
+def admit(shards, raw: bytes, seqs=None) -> np.ndarray:
+    """Batch test-and-set of the 20-byte SHA1 keys concatenated in ``raw``
+    against the seen-shard actors → is_new mask. A key's shard is its hash
+    range (leading u32 over ``len(shards)`` equal intervals, the checkpoint
+    partitions); each touched shard gets one RPC with its keys in row order."""
+    import ray
+
+    width = (1 << 32) // len(shards) + 1
+    shard = sha1_prefix(raw).astype(np.int64) // width
+    seqs = None if seqs is None else np.asarray(seqs)
+    calls = []
+    for s in np.unique(shard):
+        idxs = np.flatnonzero(shard == s)
+        calls.append((idxs, shards[s].contains_and_add.remote(
+            [raw[20 * i:20 * i + 20] for i in idxs],
+            None if seqs is None else seqs[idxs].tolist())))
+    is_new = np.zeros(len(shard), dtype=bool)
+    for idxs, fut in calls:
+        is_new[idxs] = ray.get(fut)
+    return is_new
+
 
 class CuckooFilter:
     """Minimal bucketed cuckoo filter (4-slot buckets, 1-byte fingerprints,
@@ -149,35 +179,13 @@ class ShardedSeenSet:
     def __init__(self, num_shards: int, capacity_per_shard: int = 1 << 16):
         import ray
 
-        self.num_shards = num_shards
         # coordination actor: tiny per-call CPU, mostly idle — reserving CPU
         # would let a wide shard pool starve the compute stages
         actor = ray.remote(num_cpus=0)(SeenShard)
         self.shards = [actor.remote(i, capacity_per_shard) for i in range(num_shards)]
 
-    def _route(self, keys: list[bytes]) -> dict[int, list[int]]:
-        width = (1 << 32) // self.num_shards + 1
-        by_shard: dict[int, list[int]] = {}
-        for i, k in enumerate(keys):
-            s = int.from_bytes(k[:4], "big") // width
-            by_shard.setdefault(s, []).append(i)
-        return by_shard
-
     def contains_and_add(self, keys: list[bytes], seqs: list[int] | None = None) -> list[bool]:
-        import ray
-
-        by_shard = self._route(keys)
-        futs = {
-            s: self.shards[s].contains_and_add.remote(
-                [keys[i] for i in idxs], [seqs[i] for i in idxs] if seqs else None
-            )
-            for s, idxs in by_shard.items()
-        }
-        out = [False] * len(keys)
-        for s, idxs in by_shard.items():
-            for i, new in zip(idxs, ray.get(futs[s])):
-                out[i] = new
-        return out
+        return admit(self.shards, b"".join(keys), seqs).tolist()
 
     def total(self) -> int:
         import ray

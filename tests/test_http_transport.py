@@ -146,3 +146,58 @@ def test_scheduled_crawl_over_http_byte_identical(ray_session, fixture_dir,
     pd.testing.assert_frame_equal(l_http, l_ref)
     pd.testing.assert_frame_equal(w_http, w_ref)
     assert c_http == c_ref
+
+
+#: responses that make ``http.client`` raise an ``HTTPException`` rather
+#: than an ``OSError``: a malformed status line (``BadStatusLine``) and a
+#: body cut short of its Content-Length (``IncompleteRead``)
+FAULTS = {
+    "bad_status": b"HTTP/1.1 two-hundred OK\r\n\r\n",
+    "truncated": b"HTTP/1.1 200 OK\r\nContent-Length: 4096\r\n\r\nshort",
+}
+
+
+@pytest.mark.parametrize("fault", sorted(FAULTS))
+def test_protocol_error_maps_to_status_zero(corpus_path, urls, fault):
+    """A URL whose response breaks the HTTP protocol on every attempt comes
+    back as status 0 with no body; the URLs around it, fetched over the
+    reconnected client, match the columnar store exactly."""
+    bad = 3
+    bad_path = "/" + urls[bad].rsplit("/", 1)[-1]
+    with CorpusHTTPServer(corpus_path) as srv:
+        handler = srv._httpd.RequestHandlerClass
+
+        class Faulty(handler):
+            def _fault(self):
+                self.wfile.write(FAULTS[fault])
+                self.close_connection = True
+
+            def do_GET(self):
+                if self.path == bad_path:
+                    self._fault()
+                else:
+                    super().do_GET()
+
+            def do_HEAD(self):
+                if self.path == bad_path:
+                    self._fault()
+                else:
+                    super().do_HEAD()
+
+        srv._httpd.RequestHandlerClass = Faulty
+        client = HttpStore(srv.base_url)
+        got = client.get(urls).to_pandas()
+        got_prefix = client.get_prefix(urls, n=1024)
+        got_head = client.head(urls).to_pandas()
+
+    corpus = CorpusStore(corpus_path)
+    want = corpus.get(urls).to_pandas()
+    want.loc[bad, ["status", "content_type", "bytes"]] = [0, "", b""]
+    pd.testing.assert_frame_equal(got, want)
+    want_prefix = corpus.get_prefix(urls, n=1024)
+    want_prefix[bad] = b""
+    assert got_prefix == want_prefix
+    if fault == "bad_status":  # a HEAD response has no body to cut short
+        want_head = corpus.head(urls).to_pandas()
+        want_head.loc[bad, ["status", "content_type", "content_length"]] = [0, "", 0]
+        pd.testing.assert_frame_equal(got_head, want_head)

@@ -611,3 +611,56 @@ def test_batch_enforce_rejects_zero_rate_host(fixture_dir):
         crawl.run_crawl(N, cfg, use_state_actors=True, concurrency=1,
                         politeness="enforce",
                         gate_overrides={host: (0.0, 1)})
+
+
+# ---------------------------------------------------------------------------
+# each crawl stage runs once per crawl
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def stage_rows(monkeypatch):
+    """Taps stage 1's frontier and stage 2's fetch+decode output with a
+    pass-through ``map_batches`` that adds each batch's row count to a
+    counting actor. A stage whose plan executes twice counts its rows twice.
+    → a callable returning ``{"stage1": rows, "fetch_decode": rows}``."""
+    import ray
+
+    from cninfo_crawler_ray.pipelines import stage1, stage2
+
+    @ray.remote(num_cpus=0)
+    class Counter:
+        def __init__(self):
+            self.rows = {"stage1": 0, "fetch_decode": 0}
+
+        def add(self, name, n):
+            self.rows[name] += n
+
+        def get(self):
+            return self.rows
+
+    counter = Counter.remote()
+
+    def tap(fn, name):
+        def count(batch):
+            ray.get(counter.add.remote(name, len(batch)))
+            return batch
+
+        return lambda *a, **kw: fn(*a, **kw).map_batches(count, batch_format=None)
+
+    monkeypatch.setattr(stage1, "build_frontier", tap(stage1.build_frontier, "stage1"))
+    monkeypatch.setattr(stage2, "fetch_decode", tap(stage2.fetch_decode, "fetch_decode"))
+    return lambda: ray.get(counter.get.remote())
+
+
+def test_run_crawl_fetches_each_admitted_url_once(fixture_dir, stage_rows):
+    out = crawl.run_crawl(N, use_state_actors=True)
+    rows = stage_rows()
+    assert rows["stage1"] == out["counters"]["frontier_rows"]
+    assert rows["fetch_decode"] == out["counters"]["seen_admitted"] > 0
+
+
+def test_scheduled_crawl_runs_stage1_once(fixture_dir, stage_rows):
+    out = scheduler.run_scheduled_crawl(fixture_dir, use_actors=True)
+    rows = stage_rows()
+    assert rows["stage1"] == out["counters"]["frontier_rows"] > 0
+    assert rows["fetch_decode"] == out["counters"]["frontier_rows"]

@@ -1,11 +1,11 @@
 """Standalone unit tests for the stateful components (SURVEY.md §7.5):
-cuckoo-fronted seen shards, politeness token bucket, metrics, corpus store."""
+cuckoo-fronted seen shards, politeness token bucket, corpus store."""
 
 import hashlib
+import pickle
 
 import pytest
 
-from cninfo_crawler_ray.state.metrics import Metrics
 from cninfo_crawler_ray.state.politeness import PolitenessGate
 from cninfo_crawler_ray.state.seen import CuckooFilter, SeenShard
 
@@ -114,15 +114,6 @@ def test_robots():
     assert g.allowed("unknown", ["/x"]) == [True]
 
 
-def test_metrics():
-    m = Metrics()
-    m.inc({"fetched": 5, "bytes": 100}, partition_id=2)
-    m.inc({"fetched": 3}, partition_id=2)
-    m.inc({"fetched": 1})
-    assert m.get_all() == {"fetched": 9, "bytes": 100}
-    assert m.get_partition(2) == {"fetched": 8, "bytes": 100}
-
-
 def test_corpus_store_head_get(tmp_path):
     import pyarrow.parquet as pq
 
@@ -158,6 +149,12 @@ def test_sharded_seen_actor_pool(ray_session):
     assert not any(pool.contains_and_add(keys))
     assert pool.total() == 1000
     snap = pool.snapshot()
+    # each key sits in the hash-range shard of its leading big-endian u32
+    # (checkpoint partitions: snapshots and resume depend on it)
+    width = (1 << 32) // 4 + 1
+    assert [pickle.loads(b)[1] for b in snap] == [
+        {k for k in keys if int.from_bytes(k[:4], "big") // width == s}
+        for s in range(4)]
     pool2 = ShardedSeenSet(4)
     pool2.restore(snap)
     assert not any(pool2.contains_and_add(keys))

@@ -61,12 +61,6 @@ class CrawlConfig:
     #: sort the admitted wave by content key before fetch so each batch hits
     #: a contiguous store range (per-shard request coalescing).
     fetch_locality: bool = True
-    #: run fetch+decode as ONE actor stage so payload bytes never transit
-    #: the object store (measured 354 CPU-s of kernel mmap/memcpy per
-    #: 198 CPU-s of compute when staged separately). Disable to get the
-    #: two-pool layout (e.g. when fetch must be IO-bound-async while decode
-    #: saturates CPUs).
-    fuse_fetch_decode: bool = True
     #: CPUs reserved per stage actor. Fractional so the MINIMUM reservations
     #: of all concurrent pools never exceed the cluster and deadlock the
     #: streaming executor (each pool pre-reserves min_actors × num_cpus);

@@ -1,17 +1,17 @@
 """Flagship end-to-end crawl: seeds → frontier → seen-set admission →
-politeness-gated fetch → decode/validate/extract → long + wide reports.
+fetch → decode/validate/extract → long + wide reports.
 
 This is the full composition (SURVEY.md §8): stage 1 builds the frontier in
 canonical order; admission consults the sharded cuckoo-fronted URL-seen actor
 pool (exact-set backed, so the final URL-seen set matches the oracle's
-regardless of parallelism); the per-host politeness gate spaces fetches
-within each host's budget (virtual ticks — it shapes timing, never results);
-stage 2 streams fetch→decode→extract into the long/wide reductions.
+regardless of parallelism); the per-host politeness budget is replayed over
+the admitted hosts to report the virtual ticks it would wait (the scheduler
+path enforces it); stage 2 streams fetch→decode→extract into the long/wide
+reductions.
 """
 
 from __future__ import annotations
 
-import numpy as np
 import pandas as pd
 
 from ..config import CrawlConfig
@@ -21,26 +21,19 @@ from ..state.seen import ShardedSeenSet, admit
 from . import stage1, stage2
 
 
-def _grant_schedule(host_counts: dict[str, int], gate) -> tuple[dict, int]:
+def _grant_schedule(host_counts: dict[str, int], gate) -> int:
     """Replay the scheduler's round loop over per-host ADMITTED counts only —
     O(hosts × rounds) driver work, identical decision procedure to
     scheduler.run_scheduled_crawl at unbounded wave size (grant floor(tokens)
     per host per round tick; advance the virtual clock by exactly the soonest
-    refill among denied hosts). Returns per-host cumulative grant steps
-    ``{host: (ticks, cum_counts)}`` and the total wait ticks."""
+    refill among denied hosts). Returns the total wait ticks."""
     remaining = {h: int(n) for h, n in host_counts.items() if int(n) > 0}
-    cum: dict[str, list[tuple[int, int]]] = {h: [] for h in remaining}
     wait_ticks = 0
     while remaining:
-        tick = gate.now_tick
         for h in list(remaining):
-            got = gate.acquire(h, remaining[h])
-            if got:
-                prev = cum[h][-1][1] if cum[h] else 0
-                cum[h].append((tick, prev + got))
-                remaining[h] -= got
-                if remaining[h] == 0:
-                    del remaining[h]
+            remaining[h] -= gate.acquire(h, remaining[h])
+            if remaining[h] == 0:
+                del remaining[h]
         if remaining:
             waits = [gate.wait_ticks_for(h, 1) for h in remaining]
             waits = [w for w in waits if w >= 0]
@@ -52,150 +45,35 @@ def _grant_schedule(host_counts: dict[str, int], gate) -> tuple[dict, int]:
             adv = max(1, min(waits))
             gate.advance(adv)
             wait_ticks += adv
-    steps = {h: (np.array([t for t, _ in v], dtype=np.int64),
-                 np.array([c for _, c in v], dtype=np.int64))
-             for h, v in cum.items()}
-    return steps, wait_ticks
-
-
-def _assign_schedule_distributed(frontier, steps, schedule_out=None):
-    """Per-row grant-tick assignment without a hot-host bottleneck.
-
-    Sorts the admitted frontier by (host, −priority, order_key) into range
-    partitions, then works over the sorted dataset's OWN block refs (the
-    refs are held for both passes, so block identity is pinned — the
-    two-pass block-boundary hazard ADVICE r03 flagged on row numbering
-    cannot occur):
-
-    1. one O(hosts-in-block) counting task per block → the driver
-       prefix-sums per-(block, host) starting ranks (small meta, never rows);
-    2. one assignment task per block computes ``grant_tick =
-       ticks[searchsorted(cums, rank)]`` vectorized and writes its schedule
-       shard to ``schedule_out`` (parquet) — workers write, the driver ships
-       only counts.
-
-    Returns the schedule as a lazy ``ray.data.Dataset`` over the shards.
-    Raw Ray tasks are justified here: globally ordered within-key ranking is
-    exactly what the Dataset API cannot express without either a per-key
-    single task (the hot-host failure) or a block-identity assumption."""
-    import tempfile
-
-    import pyarrow as pa
-    import pyarrow.parquet as pq
-    import ray as _ray
-    import ray.data as _rd
-
-    out_dir = schedule_out or tempfile.mkdtemp(prefix="crawl_schedule_")
-
-    def _neg(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
-        df["neg_priority"] = -df["priority"].to_numpy()
-        return df
-
-    sorted_fr = (frontier.map_batches(_neg, batch_format="pandas")
-                 .sort(["host", "neg_priority", "order_key"]).materialize())
-    block_refs = sorted_fr.get_internal_block_refs()
-
-    def _as_df(block) -> pd.DataFrame:
-        # Ray blocks are pyarrow Tables or pandas DataFrames depending on
-        # the upstream stage's batch format — accept either
-        return block.to_pandas() if isinstance(block, pa.Table) else block
-
-    @_ray.remote(num_cpus=0.25)
-    def host_counts(block):
-        h = _as_df(block)["host"]
-        # hosts are contiguous after the range sort; order preserved
-        return h.groupby(h, sort=False).size().to_dict()
-
-    counts_per_block = _ray.get([host_counts.remote(r) for r in block_refs])
-    running: dict[str, int] = {}
-    start_ranks: list[dict[str, int]] = []
-    for counts in counts_per_block:
-        start_ranks.append({h: running.get(h, 0) for h in counts})
-        for h, n in counts.items():
-            running[h] = running.get(h, 0) + int(n)
-
-    steps_ref = _ray.put(steps)
-
-    @_ray.remote(num_cpus=0.5)
-    def assign(block, offsets: dict, steps_, idx: int,
-               out_dir_: str) -> int:
-        df = _as_df(block)[["order_key", "host", "url_sha1", "priority"]]
-        # defensive within-block re-sort (cheap; sort() already emits
-        # sorted blocks) so ranks never depend on block-internal layout
-        order = np.lexsort((df["order_key"].to_numpy(),
-                            -df["priority"].to_numpy(),
-                            df["host"].to_numpy()))
-        df = df.iloc[order].reset_index(drop=True)
-        ranks = df.groupby("host", sort=False).cumcount().to_numpy()
-        ranks += df["host"].map(offsets).to_numpy(dtype=np.int64)
-        grant = np.empty(len(df), dtype=np.int64)
-        hs = df["host"].to_numpy()
-        bounds = np.flatnonzero(np.r_[True, hs[1:] != hs[:-1], True])
-        for lo, hi in zip(bounds[:-1], bounds[1:]):
-            ticks, cums = steps_[hs[lo]]
-            grant[lo:hi] = ticks[np.searchsorted(cums, ranks[lo:hi],
-                                                 side="right")]
-        out = pa.Table.from_pandas(pd.DataFrame({
-            "order_key": df["order_key"], "host": df["host"],
-            "url_sha1": df["url_sha1"], "grant_tick": grant,
-        }), preserve_index=False)
-        pq.write_table(out, f"{out_dir_}/schedule-{idx:05d}.parquet")
-        return len(out)
-
-    import os
-
-    os.makedirs(out_dir, exist_ok=True)
-    _ray.get([assign.remote(r, start_ranks[i], steps_ref, i, out_dir)
-              for i, r in enumerate(block_refs)])
-    return _rd.read_parquet(out_dir)
+    return wait_ticks
 
 
 def run_crawl(
     n_images: int = 1_000,
     cfg: CrawlConfig | None = None,
     *,
-    use_state_actors: bool = True,
     concurrency=None,
-    politeness: str = "report-only",
     gate_overrides: dict | None = None,
-    return_frontier: bool = False,
-    schedule_out: str | None = None,
 ):
-    """Returns dict with long/wide pandas frames + crawl counters (plus the
-    admitted frontier frame when ``return_frontier=True`` — a smoke-scale
-    inspection contract, off by default so the flagship path never ships the
-    whole frontier to the driver).
+    """Returns dict with long/wide pandas frames + crawl counters.
 
-    ``politeness`` (VERDICT r02): the batch path fetches the whole admitted
-    frontier in one Dataset pass, so the per-host budget cannot reorder or
-    drop anything — it defines the request *timing*. Two explicit modes:
-
-    - ``"report-only"`` (default): the grant schedule is computed (identical
-      decision procedure to the scheduler's round loop) and reported in
-      ``counters["politeness_wait_ticks"]``, but fetch proceeds unspaced —
-      the sandbox store has no real host to protect, and the flagship bench
-      isolates fetch+decode throughput.
-    - ``"enforce"``: additionally assigns every admitted URL its granted
-      virtual tick (``grant_tick``), i.e. the exact admission schedule the
-      scheduler path would execute; raises on zero-refill hosts (the
-      scheduler dead-letters those instead). The assignment is distributed
-      (a hot host spans many sorted blocks; workers write the schedule
-      shards to parquet under ``schedule_out`` or a tmp dir) and
-      ``out["schedule"]`` is a lazy ``ray.data.Dataset`` over the shards —
-      the driver never holds schedule rows. Equivalence with the
-      scheduler's schedule is asserted in tests/test_scheduler.py.
-
-    ``use_state_actors=False`` skips the actor admission path (the frontier
-    is already exactly deduplicated by construction) — used by bench to
-    isolate fetch+decode throughput."""
+    Politeness: the batch path fetches the whole admitted frontier in one
+    Dataset pass, so the per-host budget cannot reorder or drop anything —
+    it only defines request timing, and the scheduler path
+    (``scheduler.run_scheduled_crawl``) is the one that enforces it. This
+    path replays the scheduler's round loop over per-host admitted counts
+    and reports the virtual ticks that schedule would wait in
+    ``counters["politeness_wait_ticks"]`` (equal to the scheduler's —
+    tests/test_scheduler.py); fetch proceeds unspaced. A zero-refill host
+    whose budget runs out raises ``ValueError`` (the scheduler dead-letters
+    those instead). ``gate_overrides`` maps host → (rate_per_second,
+    burst)."""
     cfg = cfg or CrawlConfig()
     fdir = fixtures.ensure_fixtures(n_images)
     frontier = stage1.build_frontier(fdir, cfg, concurrency=concurrency).materialize()
 
     counters = {"frontier_rows": frontier.count()}
-    schedule = None
-    if use_state_actors and counters["frontier_rows"]:
+    if counters["frontier_rows"]:
         # URL-seen admission (T2) runs INSIDE the map tasks (each batch RPCs
         # the seen shards and keeps only first-seen rows) — the frontier
         # never lands on the driver for admission. Duplicates are none
@@ -221,8 +99,8 @@ def run_crawl(
 
         # politeness (T3): the grant schedule over per-host ADMITTED counts
         # (a tiny Ray aggregate — one row per host), replayed through the
-        # same round loop as the scheduler so the two paths report (and in
-        # "enforce" mode, execute) the identical admission schedule.
+        # same round loop as the scheduler so both paths report the same
+        # wait ticks
         from ray.data.aggregate import Count
 
         host_counts_df = (frontier.groupby("host")
@@ -231,30 +109,8 @@ def run_crawl(
                               ticks_per_second=cfg.ticks_per_second)
         for host, (rate, burst) in (gate_overrides or {}).items():
             gate.set_host_rate(host, rate, burst)
-        steps, wait_ticks = _grant_schedule(
+        counters["politeness_wait_ticks"] = _grant_schedule(
             dict(zip(host_counts_df["host"], host_counts_df["n"])), gate)
-        counters["politeness_wait_ticks"] = wait_ticks
-        counters["politeness_mode"] = politeness
-        if politeness == "enforce":
-            # per-row granted tick: within-host rank in the scheduler's
-            # admission order (priority desc, order_key) → the grant step
-            # covering that rank. Distributed (VERDICT r03 weak item — the
-            # old groupby(host).map_groups put an entire hot host in ONE
-            # task and shipped the schedule to the driver): range-sort by
-            # (host, −priority, order_key), then over the HELD sorted block
-            # refs (holding the refs pins block identity — no re-chunk
-            # hazard between passes) a tiny task per block counts rows per
-            # host; the driver prefix-sums those O(blocks × hosts-per-block)
-            # counts into per-(block, host) starting ranks; a second task
-            # per block assigns grant ticks vectorized and WRITES its
-            # schedule shard to parquet — a hot host spans many blocks and
-            # the driver never sees a schedule row. ``steps`` is O(hosts ×
-            # rounds), ray.put once. The schedule is a separate output (the
-            # fetch input is untouched, so reports stay byte-identical
-            # across modes); in virtual-tick land executing the schedule IS
-            # this assignment — there is no wall clock.
-            schedule = _assign_schedule_distributed(frontier, steps,
-                                                    schedule_out)
 
     decoded = stage2.fetch_decode(frontier, f"{fdir}/corpus.parquet", cfg, concurrency=concurrency)
     # materialized: the long and wide views below each consume it, and a
@@ -264,11 +120,4 @@ def run_crawl(
     wide_df = stage2.wide_view(stage2.wide_from_long(long_ds))
     counters["long_rows"] = len(long_df)
     counters["wide_rows"] = len(wide_df)
-    out = {"long": long_df, "wide": wide_df, "counters": counters}
-    if schedule is not None:
-        out["schedule"] = schedule
-    if return_frontier:
-        # smoke-scale inspection contract only — ships the whole admitted
-        # frontier to the driver, so it is opt-in (VERDICT r02 §5)
-        out["frontier"] = frontier.to_pandas()
-    return out
+    return {"long": long_df, "wide": wide_df, "counters": counters}

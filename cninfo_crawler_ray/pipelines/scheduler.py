@@ -49,7 +49,7 @@ import ray.data as rd
 from ..config import CrawlConfig
 from ..state.frontier import ShardedFrontier
 from ..state.politeness import PolitenessGate
-from ..state.seen import ShardedSeenSet, admit, sha1_prefix
+from ..state.seen import ShardedSeenSet, admit, shard_of
 from . import stage1, stage2
 
 #: hard bound on consecutive fully-denied waves. With min-refill clock
@@ -87,7 +87,7 @@ class _SeedBatch:
         is_new = admit(self.seen_shards, raw, df["order_key"].to_numpy())
         adm = df[is_new]
         rows = adm.values.tolist()
-        fshard = sha1_prefix(raw)[is_new] % len(self.frontier_shards)
+        fshard = shard_of(raw, len(self.frontier_shards))[is_new]
         ray.get([self.frontier_shards[s].push.remote(
                      self.columns, [rows[i] for i in np.flatnonzero(fshard == s)],
                      self.dtypes)
@@ -159,9 +159,7 @@ def run_scheduled_crawl(
     counters = {"rounds": 0, "empty_waves": 0, "politeness_wait_ticks": 0,
                 "robots_denied": 0, "dead_lettered": 0,
                 "round_ticks": [], "round_admitted": []}  # gate tick +
-    # admitted count at each admitted round —
-    # the executed admission schedule, comparable to the batch path's
-    # politeness="enforce" grant_tick assignment (tests/test_scheduler.py)
+    # admitted count at each admitted round — the executed admission schedule
     rounds = 0
     seen = ShardedSeenSet(cfg.seen_shards)
 

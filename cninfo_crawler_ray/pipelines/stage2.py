@@ -3,8 +3,8 @@ with per-partition checkpoints and lineage for byte-identical resume.
 
 Ray-Data shape (SURVEY.md §3.2 traced → §7.6-7.8):
 
-    frontier ──map_batches(Fetcher actor pool)──▶ payloads        (GET, R:253)
-             ──map_batches(Decoder actor pool)──▶ decoded+items   (R:151-198)
+    frontier ──map_batches(FetchDecode actor pool)──▶ decoded+items
+                                          (GET R:253 + decode R:151-198)
              ──map_batches(explode long rows)──▶ long             (R:287-310)
     long     ──groupby(doc keys).map_groups(A5+A6+J3)──▶ wide     (R:431-548)
 
@@ -34,8 +34,7 @@ from ..config import CrawlConfig
 from ..functions.bucketed import _pa_from_pandas
 from ..functions.kernels import adjust_amount_special, sentinel_to_zero
 from ..schemas import LONG_COLUMNS, PARENT_CATEGORIES
-from ..stages.decode import Decoder, FetchDecode
-from ..stages.fetch import Fetcher
+from ..stages.decode import FetchDecode
 
 DOC_KEYS = ["证券代码", "公司名称", "报告名称", "报告日期", "PDF链接"]
 
@@ -112,7 +111,6 @@ def fetch_decode(
     cfg: CrawlConfig,
     *,
     concurrency: int | tuple[int, int] | None = None,
-    politeness=None,
     nrows_hint: int | None = None,
 ) -> rd.Dataset:
     """frontier → decoded docs (streaming; payload bytes dropped after decode
@@ -146,30 +144,14 @@ def fetch_decode(
             # every block non-empty instead
             npart = max(1, min(npart, nrows_hint))
         frontier = frontier.repartition(npart)
-    if cfg.fuse_fetch_decode:
-        # one pool doing fetch→decode in-process: payload bytes never enter
-        # the object store (see stages.decode.FetchDecode)
-        return frontier.map_batches(
-            FetchDecode,
-            fn_constructor_args=(corpus_path, True, cfg.fault_inject_path),
-            batch_format="pyarrow",
-            batch_size=cfg.fetch_batch_size,
-            concurrency=concurrency or cfg.fetch_actors,
-            num_cpus=cfg.actor_num_cpus,
-        )
-    fetched = frontier.map_batches(
-        Fetcher,
-        fn_constructor_args=(corpus_path,),
+    # one pool doing fetch→decode in-process: payload bytes never enter the
+    # object store (see stages.decode.FetchDecode)
+    return frontier.map_batches(
+        FetchDecode,
+        fn_constructor_args=(corpus_path, True, cfg.fault_inject_path),
         batch_format="pyarrow",
         batch_size=cfg.fetch_batch_size,
         concurrency=concurrency or cfg.fetch_actors,
-        num_cpus=cfg.actor_num_cpus,
-    )
-    return fetched.map_batches(
-        Decoder,
-        batch_format="pyarrow",
-        batch_size=cfg.decode_batch_size,
-        concurrency=concurrency or cfg.decode_actors,
         num_cpus=cfg.actor_num_cpus,
     )
 

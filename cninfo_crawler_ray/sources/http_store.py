@@ -222,8 +222,17 @@ class CorpusHTTPServer:
                 rng = self.headers.get("Range")
                 if status == 200 and rng and rng.startswith("bytes="):
                     lo, _, hi = rng[len("bytes="):].partition("-")
-                    start = int(lo or 0)
-                    end = min(int(hi) if hi else len(body) - 1, len(body) - 1)
+                    if lo:
+                        start = int(lo)
+                        end = min(int(hi) if hi else len(body) - 1, len(body) - 1)
+                    else:  # suffix range: the last N bytes
+                        start, end = max(len(body) - int(hi), 0), len(body) - 1
+                    if start >= len(body):
+                        self.send_response(416)
+                        self.send_header("Content-Range", f"bytes */{len(body)}")
+                        self.send_header("Content-Length", "0")
+                        self.end_headers()
+                        return
                     part = body[start:end + 1]
                     self.send_response(206)
                     self.send_header("Content-Type", ctype)

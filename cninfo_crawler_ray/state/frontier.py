@@ -36,7 +36,10 @@ from __future__ import annotations
 import heapq
 import pickle
 
+import numpy as np
 import pandas as pd
+
+from .seen import shard_of
 
 
 class FrontierShard:
@@ -334,9 +337,6 @@ class ShardedFrontier:
             ])
         return [getattr(s, method)(*a) for s, a in zip(self.shards, args_per_shard)]
 
-    def _shard_of(self, sha_hex: str) -> int:
-        return int(sha_hex[:8], 16) % self.num_shards
-
     def _rebuild(self, rows: list[list], cols: list[str] | None) -> pd.DataFrame:
         if not cols:
             return pd.DataFrame()
@@ -355,11 +355,9 @@ class ShardedFrontier:
         if self.dtypes is None:
             self.dtypes = [str(t) for t in df.dtypes]
         rows = df.values.tolist()
-        shard_idx = [self._shard_of(h) for h in df["url_sha1"]]
-        by_shard: dict[int, list[list]] = {}
-        for s, r in zip(shard_idx, rows):
-            by_shard.setdefault(s, []).append(r)
-        args = [(self.columns, by_shard.get(s, []), self.dtypes)
+        shard = shard_of(bytes.fromhex("".join(df["url_sha1"])), self.num_shards)
+        args = [(self.columns, [rows[i] for i in np.flatnonzero(shard == s)],
+                 self.dtypes)
                 for s in range(self.num_shards)]
         self._calls("push", args)
         return self.total()

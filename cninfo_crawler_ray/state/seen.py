@@ -28,21 +28,23 @@ import pickle
 import numpy as np
 
 
-def sha1_prefix(raw: bytes) -> np.ndarray:
-    """Leading big-endian u32 of each 20-byte SHA1 key concatenated in
-    ``raw`` (a strided view: a key is five u32s)."""
-    return np.frombuffer(raw, dtype=">u4")[::5]
+def shard_of(raw: bytes, num_shards: int) -> np.ndarray:
+    """Hash-range shard of each 20-byte SHA1 key concatenated in ``raw``:
+    its leading big-endian u32 (a strided view — a key is five u32s) over
+    ``num_shards`` equal intervals, the checkpoint partitions. The one
+    routing rule for the seen set and the frontier heap."""
+    width = (1 << 32) // num_shards + 1
+    return np.frombuffer(raw, dtype=">u4")[::5].astype(np.int64) // width
 
 
 def admit(shards, raw: bytes, seqs=None) -> np.ndarray:
     """Batch test-and-set of the 20-byte SHA1 keys concatenated in ``raw``
-    against the seen-shard actors → is_new mask. A key's shard is its hash
-    range (leading u32 over ``len(shards)`` equal intervals, the checkpoint
-    partitions); each touched shard gets one RPC with its keys in row order."""
+    against the seen-shard actors → is_new mask. A key's shard is
+    ``shard_of``; each touched shard gets one RPC with its keys in row
+    order."""
     import ray
 
-    width = (1 << 32) // len(shards) + 1
-    shard = sha1_prefix(raw).astype(np.int64) // width
+    shard = shard_of(raw, len(shards))
     seqs = None if seqs is None else np.asarray(seqs)
     calls = []
     for s in np.unique(shard):

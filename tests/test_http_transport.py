@@ -74,6 +74,29 @@ def test_get_prefix_ranged(corpus_path, server, urls):
     assert all(len(b) <= 1024 for b in got)
     assert any(0 < len(b) for b in got)
 
+    # raw requests: a suffix range is the body's last N bytes, and a start
+    # past the end is 416 with the unsatisfied-range Content-Range
+    import http.client
+    from urllib.parse import urlsplit
+
+    blobs = CorpusStore(corpus_path).get(urls)["bytes"].to_pylist()
+    i = next(i for i, b in enumerate(blobs) if len(b) > 16)
+    body, path = blobs[i], "/" + urls[i].rsplit("/", 1)[-1]
+    u = urlsplit(server.base_url)
+    conn = http.client.HTTPConnection(u.hostname, u.port, timeout=30)
+    try:
+        conn.request("GET", path, headers={"Range": "bytes=-16"})
+        r = conn.getresponse()
+        assert (r.status, r.read()) == (206, body[-16:])
+        assert r.getheader("Content-Range") == (
+            f"bytes {len(body) - 16}-{len(body) - 1}/{len(body)}")
+        conn.request("GET", path, headers={"Range": f"bytes={len(body)}-"})
+        r = conn.getresponse()
+        assert (r.status, r.read()) == (416, b"")
+        assert r.getheader("Content-Range") == f"bytes */{len(body)}"
+    finally:
+        conn.close()
+
 
 def test_get_views_parity(corpus_path, server, urls):
     cs, cc, cv, _keep = CorpusStore(corpus_path).get_views(urls)

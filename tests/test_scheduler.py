@@ -197,59 +197,6 @@ def test_kill_resume_byte_identical(fixture_dir, tmp_path):
     pd.testing.assert_frame_equal(resumed["wide"], full["wide"])
 
 
-def test_enforce_schedule_distributed_hot_host(ray_session, tmp_path):
-    """VERDICT r03 weak item, done criterion: the enforce-mode grant-tick
-    assignment must survive a deliberately hot host (one host = 90% of
-    URLs) WITHOUT putting that host in one task or shipping schedule rows
-    to the driver. Drives _assign_schedule_distributed directly with a
-    skewed synthetic frontier spread over many blocks and compares
-    per-row grant ticks against a single-process reference assignment."""
-    import ray.data as rd
-
-    rng = np.random.default_rng(42)
-    n = 6000
-    hosts = np.where(rng.random(n) < 0.9, "hot.example",
-                     np.where(rng.random(n) < 0.5, "cold-a", "cold-b"))
-    df = pd.DataFrame({
-        "host": hosts,
-        "priority": rng.integers(0, 5, n).astype("int64").astype("float64"),
-        "order_key": np.arange(n, dtype="int64"),
-        "url_sha1": [f"{i:040x}" for i in range(n)],
-    })
-    counts = df["host"].value_counts().to_dict()
-    # binding budget: 13 grants per tick for the hot host → hundreds of
-    # grant steps; tiny budgets for the cold ones
-    steps = {}
-    for h, c in counts.items():
-        per = 13 if h == "hot.example" else 7
-        ticks = np.arange((c + per - 1) // per, dtype=np.int64)
-        cums = np.minimum((ticks + 1) * per, c).astype(np.int64)
-        steps[h] = (ticks, cums)
-
-    frontier = rd.from_pandas(df).repartition(24)  # hot host spans blocks
-    out_dir = str(tmp_path / "sched")
-    sched = (crawl._assign_schedule_distributed(frontier, steps, out_dir)
-             .to_pandas())
-    assert len(sched) == n
-
-    # reference: single-process rank-within-host assignment
-    ref = df.sort_values(["host", "priority", "order_key"],
-                         ascending=[True, False, True], kind="stable").copy()
-    ref["rank"] = ref.groupby("host", sort=False).cumcount()
-    ref["grant_tick"] = [
-        int(steps[h][0][np.searchsorted(steps[h][1], r, side="right")])
-        for h, r in zip(ref["host"], ref["rank"])]
-
-    got = sched.set_index("order_key")["grant_tick"]
-    want = ref.set_index("order_key")["grant_tick"]
-    pd.testing.assert_series_equal(got.sort_index(), want.sort_index())
-    # schedule shards were written by workers, several per hot host
-    import os
-
-    shards = [f for f in os.listdir(out_dir) if f.endswith(".parquet")]
-    assert len(shards) > 1
-
-
 def test_kill_resume_through_fsspec_storage(fixture_dir, tmp_path):
     """VERDICT r03 item 5: the checkpoint dir routed through the fsspec
     storage backend (``file://`` URL → FsspecStorage, the generic
@@ -347,7 +294,7 @@ def test_scheduled_equals_batch_pipeline(fixture_dir):
     tables to the batch path, at a wave size that forces many rounds.
     Both paths use seen-set admission (duplicate URLs across stock codes
     are admitted once — the scheduler's frontier is URL-keyed)."""
-    batch = crawl.run_crawl(N, use_state_actors=True)
+    batch = crawl.run_crawl(N)
     cfg = CrawlConfig()
     sched = scheduler.run_scheduled_crawl(
         fixture_dir, cfg, wave_size=97, use_actors=False, concurrency=1
@@ -565,11 +512,9 @@ def test_spill_staged_admission_identical():
 # ---------------------------------------------------------------------------
 
 def test_batch_enforce_schedule_equals_scheduler(fixture_dir):
-    """Under a binding per-host budget, run_crawl(politeness="enforce") must
-    assign exactly the admission schedule the scheduler executes: the same
-    grant ticks, the same number of URLs granted at each tick, and the same
-    total wait — the flagship batch path no longer silently ignores the
-    budget it reports on."""
+    """Under a binding per-host budget, run_crawl reports exactly the wait
+    the scheduler executes (its grant-schedule replay runs the scheduler's
+    round loop), and the budget never changes the reports."""
     # find a host carrying many frontier URLs, then throttle it hard
     from cninfo_crawler_ray.pipelines import stage1
 
@@ -584,19 +529,9 @@ def test_batch_enforce_schedule_equals_scheduler(fixture_dir):
     )
     assert sched["counters"]["politeness_wait_ticks"] > 0  # budget truly binds
 
-    batch = crawl.run_crawl(
-        N, cfg, use_state_actors=True, concurrency=1,
-        politeness="enforce", gate_overrides=overrides,
-    )
-    schedule = batch["schedule"].to_pandas()  # Dataset over worker-written
-    # parquet shards — pandas only here, at smoke scale, for assertions
-    per_tick = (schedule.groupby("grant_tick")["order_key"].count()
-                .sort_index())
-    assert list(per_tick.index) == sched["counters"]["round_ticks"]
-    assert list(per_tick) == sched["counters"]["round_admitted"]
+    batch = crawl.run_crawl(N, cfg, concurrency=1, gate_overrides=overrides)
     assert (batch["counters"]["politeness_wait_ticks"]
             == sched["counters"]["politeness_wait_ticks"])
-    # reports stay byte-identical across politeness modes
     pd.testing.assert_frame_equal(batch["long"], sched["long"])
     pd.testing.assert_frame_equal(batch["wide"], sched["wide"])
 
@@ -608,8 +543,7 @@ def test_batch_enforce_rejects_zero_rate_host(fixture_dir):
     fdf = stage1.build_frontier(fixture_dir, cfg).to_pandas()
     host = fdf["host"].value_counts().index[0]
     with pytest.raises(ValueError, match="zero-refill"):
-        crawl.run_crawl(N, cfg, use_state_actors=True, concurrency=1,
-                        politeness="enforce",
+        crawl.run_crawl(N, cfg, concurrency=1,
                         gate_overrides={host: (0.0, 1)})
 
 
@@ -653,7 +587,7 @@ def stage_rows(monkeypatch):
 
 
 def test_run_crawl_fetches_each_admitted_url_once(fixture_dir, stage_rows):
-    out = crawl.run_crawl(N, use_state_actors=True)
+    out = crawl.run_crawl(N)
     rows = stage_rows()
     assert rows["stage1"] == out["counters"]["frontier_rows"]
     assert rows["fetch_decode"] == out["counters"]["seen_admitted"] > 0

@@ -160,6 +160,19 @@ def test_sharded_seen_actor_pool(ray_session):
     assert not any(pool2.contains_and_add(keys))
     assert pool2.total() == 1000
 
+    # the frontier heap shards route by the same hash ranges
+    import pandas as pd
+
+    from cninfo_crawler_ray.state.frontier import ShardedFrontier
+
+    fr = ShardedFrontier(4)
+    fr.push_pandas(pd.DataFrame({"priority": 1.0, "order_key": range(1000),
+                                 "url_sha1": [k.hex() for k in keys]}))
+    heaps = [pickle.loads(b)[3] for b in fr.snapshot()]
+    assert [{bytes.fromhex(e[3][2]) for e in h} for h in heaps] == [
+        {k for k in keys if int.from_bytes(k[:4], "big") // width == s}
+        for s in range(4)]
+
 
 def test_robots_txt_parser_groups_and_delay():
     """load_robots_txt: the exact-agent group beats '*', comments and blank

@@ -6,10 +6,12 @@ over the deterministic sf0.001-scale synthetic corpus.
 
 ``queries()`` exposes every operator family from SURVEY.md §2 plus the
 training-data extensions; ``oracle_sql()`` gives DuckDB equivalents for every
-SQL-expressible entry (column names match exactly). Crawl-specific entries
-run the synthetic image+caption corpus (BASELINE.json input_hint) and are
-rows-only checked; their real conformance gate is tests/test_stage{1,2}.py
-against the per-row oracle.
+SQL-expressible entry (column names match exactly). This file defines only
+the crawl wrappers (frontier, fetch+decode stats, wide report, scheduled
+crawl); every other operator lives in ``cninfo_crawler_ray.pipelines``, the
+image operators in ``pipelines/images.py``. Crawl-specific entries run the
+synthetic image+caption corpus (BASELINE.json input_hint); their real
+conformance gate is tests/test_stage{1,2}.py against the per-row oracle.
 
 Ray is initialised by the driver BEFORE this module is imported: nothing
 here calls ray.init()/ray.shutdown().
@@ -101,647 +103,6 @@ def _wide_report(sf_dir: str):
     frontier = stage1.build_frontier(fdir)
     decoded = stage2.fetch_decode(frontier, f"{fdir}/corpus.parquet", CrawlConfig())
     return stage2.wide_view(stage2.wide_from_long(stage2.long_from_decoded(decoded)))
-
-
-class _PsnrProbe:
-    """Fused fetch+decode+verify actor for _decode_psnr_stats: decodes each
-    payload (zero-copy views) and compares against the regenerated reference
-    pixels — the north rule's per-row invariant (decoded-pixel PSNR ≥ 40 dB
-    for lossy formats, exact for lossless) run as a first-class pipeline
-    instead of only a test. Emits per-format partials (O(formats) rows per
-    batch)."""
-
-    def __init__(self, corpus_path: str):
-        from cninfo_crawler_ray.sources.store import CorpusStore
-
-        self.store = CorpusStore(corpus_path)
-
-    def __call__(self, batch):
-        import math
-
-        import numpy as np
-        import pyarrow as pa
-
-        from cninfo_crawler_ray.functions import codecs
-        from cninfo_crawler_ray.sources.corpus import gen_pixels
-
-        urls = batch["PDF链接"].to_pylist()
-        status, _, views, keep = self.store.get_views(urls)
-        agg: dict[str, list] = {}
-        for url, st, blob in zip(urls, status, views):
-            if st != 200 or not blob:
-                continue
-            try:
-                px, fmt, _ = codecs.decode_image(blob)
-            except ValueError:
-                continue
-            iid = url.rsplit("/", 1)[-1].rsplit(".", 1)[0]
-            # planted near-dup rows (~0.5%, i % 211 == 0) carry the PREVIOUS
-            # id's pixels (sources/corpus.py clone rule) — compare against
-            # the true source, like tests/test_stage2.py
-            i = int(iid.split("_")[1])
-            src = f"img_{i - 1:08d}" if (i % 211 == 0 and i > 0) else iid
-            ref = gen_pixels(src, px.shape[1], px.shape[0])
-            p = codecs.psnr(np.asarray(px), ref)
-            a = agg.setdefault(fmt, [0, 0, math.inf])
-            a[0] += 1
-            a[1] += 1 if p >= 40.0 else 0
-            a[2] = min(a[2], p)
-        del views, keep
-        fmts = sorted(agg)
-        return pa.table({
-            "fmt": pa.array(fmts, pa.string()),
-            "n": pa.array([agg[f][0] for f in fmts], pa.int64()),
-            "n_psnr_ge_40": pa.array([agg[f][1] for f in fmts], pa.int64()),
-            # lossless decodes are exact (psnr inf) — clamp for a finite col
-            "min_psnr_db": pa.array(
-                [round(min(agg[f][2], 999.0), 3) for f in fmts], pa.float64()),
-        })
-
-
-def _decode_psnr_stats(sf_dir: str):
-    """Per-format decode-fidelity report over the whole validated frontier:
-    n, how many rows meet the ≥40 dB bar, and the worst PSNR seen. The
-    invariant (n == n_psnr_ge_40 for every format; lossless formats exact)
-    is asserted in tests/test_entry.py; the driver records a rows-only
-    check (the measurement is pixel-level, not SQL-expressible)."""
-    from ray.data.aggregate import Min, Sum
-
-    from cninfo_crawler_ray.config import CrawlConfig
-    from cninfo_crawler_ray.pipelines import stage1
-    from cninfo_crawler_ray.sources.corpus import ensure_fixtures, scale_for_sf_dir
-
-    fdir = ensure_fixtures(min(scale_for_sf_dir(sf_dir), 10_000))
-    frontier = stage1.build_frontier(fdir)
-    cfg = CrawlConfig()
-    partials = frontier.map_batches(
-        _PsnrProbe, fn_constructor_args=(f"{fdir}/corpus.parquet",),
-        batch_format="pyarrow", batch_size=cfg.fetch_batch_size,
-        concurrency=cfg.fetch_actors, num_cpus=cfg.actor_num_cpus,
-    )
-    from cninfo_crawler_ray.functions import bucketed as _B
-
-    return _B.grouped_aggregate_small(
-        partials, "fmt",
-        [Sum("n", alias_name="n"),
-         Sum("n_psnr_ge_40", alias_name="n_psnr_ge_40"),
-         Min("min_psnr_db", alias_name="min_psnr_db")],
-        key_domain=4)
-
-
-def _image_features(sf_dir: str):
-    """Multimodal plumbing: decode validated images → 2×2 block-mean RGB
-    features (int). The decode step is the real codec; swapping in a JPEG/
-    PNG library on a real cluster changes only codecs.decode_image."""
-    import numpy as np
-    import pyarrow as pa
-
-    from cninfo_crawler_ray.config import CrawlConfig
-    from cninfo_crawler_ray.pipelines import stage1
-    from cninfo_crawler_ray.sources.corpus import ensure_fixtures, scale_for_sf_dir
-    from cninfo_crawler_ray.stages.multimodal import FetchFeaturizer
-
-    fdir = ensure_fixtures(min(scale_for_sf_dir(sf_dir), 10_000))
-    frontier = stage1.build_frontier(fdir)
-    cfg = CrawlConfig()
-
-    def feats(iid: str, px: "np.ndarray") -> list[dict]:
-        h, w = px.shape[:2]
-        g = px[: h - h % 2, : w - w % 2].reshape(2, h // 2, 2, w // 2, 3).mean(axis=(1, 3))
-        q = np.round(g.mean(axis=2)).astype(np.int64).flatten()
-        return [{"image_id": iid, "f00": int(q[0]), "f01": int(q[1]),
-                 "f10": int(q[2]), "f11": int(q[3])}]
-
-    schema = pa.schema([("image_id", pa.string()), ("f00", pa.int64()),
-                        ("f01", pa.int64()), ("f10", pa.int64()),
-                        ("f11", pa.int64())])
-    # fused fetch+decode+featurize: payload bytes never enter the object
-    # store between stages (VERDICT r02 §4)
-    return frontier.map_batches(
-        FetchFeaturizer,
-        fn_constructor_args=(f"{fdir}/corpus.parquet", feats, schema),
-        batch_format="pyarrow", batch_size=cfg.fetch_batch_size,
-        concurrency=cfg.fetch_actors, num_cpus=cfg.actor_num_cpus,
-    )
-
-
-def _image_size_histogram(sf_dir: str):
-    """Decoded-dimension histogram over the validated image frontier:
-    (width, height) → count, measured from the DECODED pixel arrays inside
-    the fused fetch+decode+featurize actor (zero-copy payload views). The
-    oracle joins the golden frontier to the corpus's stored (w, h) metadata
-    — an independent path from pixel-shape measurement, so a decoder that
-    mis-parses any header dimension fails the gate."""
-    import pyarrow as pa
-
-    from cninfo_crawler_ray.config import CrawlConfig
-    from cninfo_crawler_ray.functions.bucketed import grouped_aggregate_auto
-    from cninfo_crawler_ray.pipelines import stage1
-    from cninfo_crawler_ray.sources.corpus import ensure_fixtures, scale_for_sf_dir
-    from cninfo_crawler_ray.stages.multimodal import FetchFeaturizer
-    from ray.data.aggregate import Sum
-
-    fdir = ensure_fixtures(min(scale_for_sf_dir(sf_dir), 10_000))
-    frontier = stage1.build_frontier(fdir)
-    cfg = CrawlConfig()
-
-    def dims(iid: str, px) -> list[dict]:
-        h, w = px.shape[:2]
-        return [{"w": int(w), "h": int(h), "n": 1}]
-
-    schema = pa.schema([("w", pa.int64()), ("h", pa.int64()), ("n", pa.int64())])
-    parts = frontier.map_batches(
-        FetchFeaturizer,
-        fn_constructor_args=(f"{fdir}/corpus.parquet", dims, schema),
-        batch_format="pyarrow", batch_size=cfg.fetch_batch_size,
-        concurrency=cfg.fetch_actors, num_cpus=cfg.actor_num_cpus,
-    )
-    return grouped_aggregate_auto(parts, ["w", "h"], [Sum("n", alias_name="n")])
-
-
-def _image_luma_histogram(sf_dir: str):
-    """Mean-luminance histogram over the validated image frontier: per
-    pixel, Rec.709 luma scaled ×10⁴ in exact int64 (2126·R + 7152·G +
-    722·B); per image, the floor-divided mean; bucketed to 10-luma-unit
-    bins (mean10k // 100_000) and counted. The brightness profile every
-    vision-data curation pass computes before filtering under/over-exposed
-    crawl images. Fused fetch+decode+featurize (payload bytes never enter
-    the object store); the aggregate is O(buckets). Oracle: golden from an
-    independent channel-sum factorization (2126·ΣR + 7152·ΣG + 722·ΣB —
-    algebraically identical, different code path; exact ints either way)."""
-    import numpy as np
-    import pyarrow as pa
-    from ray.data.aggregate import Sum
-
-    from cninfo_crawler_ray.config import CrawlConfig
-    from cninfo_crawler_ray.functions.bucketed import grouped_aggregate_auto
-    from cninfo_crawler_ray.pipelines import stage1
-    from cninfo_crawler_ray.sources.corpus import ensure_fixtures, scale_for_sf_dir
-    from cninfo_crawler_ray.stages.multimodal import FetchFeaturizer
-
-    fdir = ensure_fixtures(min(scale_for_sf_dir(sf_dir), 10_000))
-    frontier = stage1.build_frontier(fdir)
-    cfg = CrawlConfig()
-
-    def luma(iid: str, px: "np.ndarray") -> list[dict]:
-        p = px.astype(np.int64)
-        lum = 2126 * p[:, :, 0] + 7152 * p[:, :, 1] + 722 * p[:, :, 2]
-        mean10k = int(lum.sum()) // lum.size
-        return [{"bucket": mean10k // 100_000, "n": 1}]
-
-    schema = pa.schema([("bucket", pa.int64()), ("n", pa.int64())])
-    parts = frontier.map_batches(
-        FetchFeaturizer,
-        fn_constructor_args=(f"{fdir}/corpus.parquet", luma, schema),
-        batch_format="pyarrow", batch_size=cfg.fetch_batch_size,
-        concurrency=cfg.fetch_actors, num_cpus=cfg.actor_num_cpus,
-    )
-    return grouped_aggregate_auto(parts, ["bucket"], [Sum("n", alias_name="n")])
-
-
-def _image_dominant_color(sf_dir: str):
-    """Dominant-color histogram: each image quantized to 64 color buckets
-    (2 bits per channel), the per-image argmax bucket (ties → smallest
-    bucket id), counted across the validated frontier — the palette
-    profile a dataset card reports and a color-balance sampler consumes.
-    Same fused actor shape as the other image featurizers; per-image work
-    is one vectorized bincount. Oracle: golden from an independent
-    unique+counts implementation with an explicit min-over-maxima tie rule
-    (the engine's bincount argmax picks the first maximum — the same id)."""
-    import numpy as np
-    import pyarrow as pa
-    from ray.data.aggregate import Sum
-
-    from cninfo_crawler_ray.config import CrawlConfig
-    from cninfo_crawler_ray.functions.bucketed import grouped_aggregate_auto
-    from cninfo_crawler_ray.pipelines import stage1
-    from cninfo_crawler_ray.sources.corpus import ensure_fixtures, scale_for_sf_dir
-    from cninfo_crawler_ray.stages.multimodal import FetchFeaturizer
-
-    fdir = ensure_fixtures(min(scale_for_sf_dir(sf_dir), 10_000))
-    frontier = stage1.build_frontier(fdir)
-    cfg = CrawlConfig()
-
-    def dom(iid: str, px: "np.ndarray") -> list[dict]:
-        q = (((px[:, :, 0] >> 6).astype(np.int64) << 4)
-             | ((px[:, :, 1] >> 6).astype(np.int64) << 2)
-             | (px[:, :, 2] >> 6).astype(np.int64))
-        c = np.bincount(q.ravel(), minlength=64)
-        return [{"bucket": int(c.argmax()), "n": 1}]
-
-    schema = pa.schema([("bucket", pa.int64()), ("n", pa.int64())])
-    parts = frontier.map_batches(
-        FetchFeaturizer,
-        fn_constructor_args=(f"{fdir}/corpus.parquet", dom, schema),
-        batch_format="pyarrow", batch_size=cfg.fetch_batch_size,
-        concurrency=cfg.fetch_actors, num_cpus=cfg.actor_num_cpus,
-    )
-    return grouped_aggregate_auto(parts, ["bucket"], [Sum("n", alias_name="n")])
-
-
-def _image_border_contrast(sf_dir: str):
-    """Border-ring vs interior brightness contrast histogram — the
-    letterbox / vignette / watermark-frame detector a vision-curation pass
-    runs before cropping: per image, mean Rec.709 luma (×10⁴ int) of the
-    4-pixel border ring minus the interior mean, floor-bucketed to
-    100k-luma bins (negative buckets = dark frames). Engine slices the
-    ring as four explicit slabs; the golden computes ring = whole −
-    interior (a different decomposition — identical exact integers only if
-    both paths are right). Fused fetch+decode+featurize actor, O(buckets)
-    aggregate."""
-    import numpy as np
-    import pyarrow as pa
-    from ray.data.aggregate import Sum
-
-    from cninfo_crawler_ray.config import CrawlConfig
-    from cninfo_crawler_ray.functions.bucketed import grouped_aggregate_auto
-    from cninfo_crawler_ray.pipelines import stage1
-    from cninfo_crawler_ray.sources.corpus import ensure_fixtures, scale_for_sf_dir
-    from cninfo_crawler_ray.stages.multimodal import FetchFeaturizer
-
-    fdir = ensure_fixtures(min(scale_for_sf_dir(sf_dir), 10_000))
-    frontier = stage1.build_frontier(fdir)
-    cfg = CrawlConfig()
-
-    def contrast(iid: str, px: "np.ndarray") -> list[dict]:
-        p = px.astype(np.int64)
-        h, w = p.shape[:2]
-        if h <= 8 or w <= 8:
-            return []
-        lum = 2126 * p[:, :, 0] + 7152 * p[:, :, 1] + 722 * p[:, :, 2]
-        ring = (int(lum[:4, :].sum()) + int(lum[-4:, :].sum())
-                + int(lum[4:-4, :4].sum()) + int(lum[4:-4, -4:].sum()))
-        int_sum = int(lum[4:-4, 4:-4].sum())
-        int_n = (h - 8) * (w - 8)
-        ring_n = h * w - int_n
-        diff = ring // ring_n - int_sum // int_n
-        return [{"bucket": diff // 100_000, "n": 1}]
-
-    schema = pa.schema([("bucket", pa.int64()), ("n", pa.int64())])
-    parts = frontier.map_batches(
-        FetchFeaturizer,
-        fn_constructor_args=(f"{fdir}/corpus.parquet", contrast, schema),
-        batch_format="pyarrow", batch_size=cfg.fetch_batch_size,
-        concurrency=cfg.fetch_actors, num_cpus=cfg.actor_num_cpus,
-    )
-    return grouped_aggregate_auto(parts, ["bucket"], [Sum("n", alias_name="n")])
-
-
-def _image_quadrant_range(sf_dir: str):
-    """Compositional balance histogram: per image, the spread between its
-    brightest and darkest 2×2 quadrant as a per-mille share of total luma
-    ((max−min)·1000 // total), counted per bucket — the exposure-balance
-    profile a thumbnail/crop sampler consumes. Engine sums the four
-    quadrant slices directly; the golden derives the same sums from a 2-D
-    summed-area table (corner arithmetic — a disjoint algorithm family).
-    Exact int64 throughout."""
-    import numpy as np
-    import pyarrow as pa
-    from ray.data.aggregate import Sum
-
-    from cninfo_crawler_ray.config import CrawlConfig
-    from cninfo_crawler_ray.functions.bucketed import grouped_aggregate_auto
-    from cninfo_crawler_ray.pipelines import stage1
-    from cninfo_crawler_ray.sources.corpus import ensure_fixtures, scale_for_sf_dir
-    from cninfo_crawler_ray.stages.multimodal import FetchFeaturizer
-
-    fdir = ensure_fixtures(min(scale_for_sf_dir(sf_dir), 10_000))
-    frontier = stage1.build_frontier(fdir)
-    cfg = CrawlConfig()
-
-    def quad(iid: str, px: "np.ndarray") -> list[dict]:
-        p = px.astype(np.int64)
-        h, w = p.shape[:2]
-        hh, ww = h // 2, w // 2
-        if hh == 0 or ww == 0:
-            return []
-        lum = 2126 * p[:, :, 0] + 7152 * p[:, :, 1] + 722 * p[:, :, 2]
-        q = [int(lum[:hh, :ww].sum()), int(lum[:hh, ww:].sum()),
-             int(lum[hh:, :ww].sum()), int(lum[hh:, ww:].sum())]
-        tot = sum(q)
-        if tot <= 0:
-            return []
-        return [{"bucket": (max(q) - min(q)) * 1000 // tot, "n": 1}]
-
-    schema = pa.schema([("bucket", pa.int64()), ("n", pa.int64())])
-    parts = frontier.map_batches(
-        FetchFeaturizer,
-        fn_constructor_args=(f"{fdir}/corpus.parquet", quad, schema),
-        batch_format="pyarrow", batch_size=cfg.fetch_batch_size,
-        concurrency=cfg.fetch_actors, num_cpus=cfg.actor_num_cpus,
-    )
-    return grouped_aggregate_auto(parts, ["bucket"], [Sum("n", alias_name="n")])
-
-
-def _image_mirror_asymmetry(sf_dir: str):
-    """Horizontal mirror-asymmetry energy histogram: per image,
-    Σ(g − flip(g))² over the green channel, normalized per pixel and
-    bucketed by integer bit-length (a log₂ scale with no floats) — the
-    symmetry prior a layout/logo detector uses. Engine evaluates the
-    squared difference directly; the golden evaluates the algebraic
-    factorization 2Σg² − 2Σ(g·flip(g)) — equal exact integers iff the
-    kernel is right (same contract as the gradient-energy golden)."""
-    import numpy as np
-    import pyarrow as pa
-    from ray.data.aggregate import Sum
-
-    from cninfo_crawler_ray.config import CrawlConfig
-    from cninfo_crawler_ray.functions.bucketed import grouped_aggregate_auto
-    from cninfo_crawler_ray.pipelines import stage1
-    from cninfo_crawler_ray.sources.corpus import ensure_fixtures, scale_for_sf_dir
-    from cninfo_crawler_ray.stages.multimodal import FetchFeaturizer
-
-    fdir = ensure_fixtures(min(scale_for_sf_dir(sf_dir), 10_000))
-    frontier = stage1.build_frontier(fdir)
-    cfg = CrawlConfig()
-
-    def asym(iid: str, px: "np.ndarray") -> list[dict]:
-        g = px[:, :, 1].astype(np.int64)
-        a = int(((g - g[:, ::-1]) ** 2).sum())
-        per_px = a // g.size
-        return [{"bucket": per_px.bit_length(), "n": 1}]
-
-    schema = pa.schema([("bucket", pa.int64()), ("n", pa.int64())])
-    parts = frontier.map_batches(
-        FetchFeaturizer,
-        fn_constructor_args=(f"{fdir}/corpus.parquet", asym, schema),
-        batch_format="pyarrow", batch_size=cfg.fetch_batch_size,
-        concurrency=cfg.fetch_actors, num_cpus=cfg.actor_num_cpus,
-    )
-    return grouped_aggregate_auto(parts, ["bucket"], [Sum("n", alias_name="n")])
-
-
-def _host_fetch_histogram(sf_dir: str):
-    """Per-host URL counts over the validated frontier — the load profile
-    the politeness planner consumes (hosts × budget = achievable crawl
-    rate). Host extraction is one vectorized split per batch; the aggregate
-    is O(hosts). Oracle: the same regex over the golden frontier."""
-    import pandas as pd
-    import pyarrow as pa
-
-    from cninfo_crawler_ray.functions.bucketed import (_pa_from_pandas,
-                                                       grouped_aggregate_auto)
-    from cninfo_crawler_ray.pipelines import stage1
-    from cninfo_crawler_ray.sources.corpus import ensure_fixtures, scale_for_sf_dir
-    from ray.data.aggregate import Sum
-
-    fdir = ensure_fixtures(min(scale_for_sf_dir(sf_dir), 10_000))
-    frontier = stage1.build_frontier(fdir)
-
-    def hosts(t: pa.Table) -> pa.Table:
-        u = t.column("PDF链接").to_pandas()
-        h = u.str.split("/").str[2]
-        g = h.groupby(h).size()
-        return _pa_from_pandas(pd.DataFrame(
-            {"host": g.index.to_numpy(), "n_urls": g.to_numpy().astype("int64")}))
-
-    return grouped_aggregate_auto(
-        frontier.map_batches(hosts, batch_format="pyarrow"),
-        "host", [Sum("n_urls", alias_name="n_urls")])
-
-
-def _phash_near_dup_ds(sf_dir: str, bands: int = 4, max_hamming: int = 2):
-    """Image near-dup via perceptual-hash LSH over the corpus ``phash``
-    column, as a **Dataset** of verified pairs (image_a < image_b): 16-bit
-    bands of the 64-bit hash → same band value = candidate pair (any pair
-    with hamming ≤ 3·16/64 shares a band w.h.p.; exact-dup clones always do)
-    → vectorized hamming verify → keyed-aggregate pair dedup. The scale
-    path: consumers that feed the pair graph onward (image_dup_clusters)
-    take this directly so the edge list never lands on the driver
-    (VERDICT r02 §2). The fixture plants pixel-clone pairs (~0.5%), which
-    this must find (tests/test_entry.py)."""
-    import numpy as np
-    import pandas as pd
-
-    from cninfo_crawler_ray.functions import bucketed as B
-    from cninfo_crawler_ray.functions.dedup import hamming64
-    from cninfo_crawler_ray.sources.corpus import ensure_fixtures, scale_for_sf_dir
-    from cninfo_crawler_ray.sources.readers import read_parquet_clean
-
-    fdir = ensure_fixtures(min(scale_for_sf_dir(sf_dir), 10_000))
-    import pyarrow.parquet as _pq
-
-    n_rows = _pq.ParquetFile(f"{fdir}/corpus.parquet").metadata.num_rows
-    ds = read_parquet_clean(f"{fdir}/corpus.parquet", columns=["image_id", "phash"],
-                            override_num_blocks=max(1, min(64, -(-n_rows // 8192))))
-
-    def band_rows(t) -> pd.DataFrame:
-        ph = t["phash"].to_numpy().view(np.uint64)
-        ids = t["image_id"].to_pylist()
-        parts = []
-        for b in range(bands):
-            band = (ph >> np.uint64(64 // bands * b)) & np.uint64((1 << (64 // bands)) - 1)
-            parts.append(pd.DataFrame({
-                "band_key": [f"{b}:{int(v)}" for v in band],
-                "image_id": ids,
-                "phash": ph.view(np.int64),
-            }))
-        return pd.concat(parts, ignore_index=True)
-
-    sh = ds.map_batches(band_rows, batch_format="pyarrow")
-
-    def pairs_bucket(bdf: pd.DataFrame) -> "pa.Table":
-        import pyarrow as pa
-
-        m = bdf.merge(bdf, on="band_key")
-        m = m[m["image_id_x"] < m["image_id_y"]].drop_duplicates(["image_id_x", "image_id_y"])
-        if len(m):
-            ham = hamming64(m["phash_x"].to_numpy(), m["phash_y"].to_numpy())
-            m = m[ham <= max_hamming]
-        ids_a, ids_b = m["image_id_x"].tolist(), m["image_id_y"].tolist()
-        if not ids_a:
-            # SENTINEL pair instead of a 0-row output: Ray's map operator
-            # packs any 0-row task output as a schema-less 0-column block
-            # (null/"." schema), and one of those among typed peers trips
-            # the schema-divergence warning. The sentinel keeps every task
-            # output typed; the dedup reduce below drops it.
-            ids_a, ids_b = [""], [""]
-        return pa.table({"image_a": pa.array(ids_a, pa.string()),
-                         "image_b": pa.array(ids_b, pa.string())})
-
-    # same pair surfaces once per shared band: dedup with a keyed bucketed
-    # reduce (distributed — nothing lands on the driver in this core). The
-    # reduce is auto-sized from the ACTUAL pair count, so partitions are
-    # never empty; sentinel rows all share one key and co-locate with real
-    # pairs at any realistic partition size.
-    def dedup_bucket(b: pd.DataFrame) -> pd.DataFrame:
-        b = b.loc[b["image_a"] != ""]
-        return b.drop_duplicates(["image_a", "image_b"])[["image_a", "image_b"]]
-
-    ded = B.bucketed_map_groups(
-        B.bucketed_map_groups(sh, ["band_key"], pairs_bucket),
-        ["image_a", "image_b"], dedup_bucket, auto_parallelism=True)
-    return ded.select_columns(["image_a", "image_b"])
-
-
-def _phash_near_dup(sf_dir: str, bands: int = 4, max_hamming: int = 2):
-    """Query wrapper over :func:`_phash_near_dup_ds` — collects the (small)
-    verified pair list sorted for the golden compare."""
-    out = _phash_near_dup_ds(sf_dir, bands=bands, max_hamming=max_hamming).to_pandas()
-    if out.empty and "image_a" not in out.columns:
-        # zero pairs end-to-end: the single empty bundle is column-less
-        out = pd.DataFrame({"image_a": pd.Series([], dtype=object),
-                            "image_b": pd.Series([], dtype=object)})
-    return out.sort_values(["image_a", "image_b"]).reset_index(drop=True)
-
-
-def _image_region_near_dup(sf_dir: str):
-    """Crop-robust image near-dup: a per-quadrant region signature —
-    (average-hash, mean//8, var//64), i.e. structure + brightness level +
-    contrast level — per decoded image; an EXACT signature match is a
-    candidate pair, so a crop that leaves one quadrant untouched still
-    collides there, which whole-image phash banding (phash_near_dup)
-    misses. The brightness/contrast terms matter: on smooth content the
-    bare average-hash is low-entropy (measured: 600k chance pairs across
-    5k fixture images vs 340 per 2k with the full signature, max bucket 4).
-    Output (image_a, image_b, n_quads) counts matching quadrant positions
-    per pair (planted pixel clones score 4). Scale shape: signature keys
-    bucket-shuffle exactly like LSH bands — per-bucket vectorized
-    self-merge, per-pair partial counts, one keyed Sum across buckets;
-    never all-pairs. Decode+featurize run FUSED with fetch in one actor
-    pool (FetchFeaturizer) — payload bytes never transit the object store
-    (VERDICT r02 §4)."""
-    import numpy as np
-    import pandas as pd
-    import pyarrow as pa
-
-    from cninfo_crawler_ray.config import CrawlConfig
-    from cninfo_crawler_ray.functions import bucketed as B
-    from cninfo_crawler_ray.functions import codecs
-    from cninfo_crawler_ray.pipelines import stage1
-    from cninfo_crawler_ray.sources.corpus import ensure_fixtures, scale_for_sf_dir
-    from cninfo_crawler_ray.stages.multimodal import FetchFeaturizer
-    from ray.data.aggregate import Sum
-
-    fdir = ensure_fixtures(min(scale_for_sf_dir(sf_dir), 10_000))
-    frontier = stage1.build_frontier(fdir)
-    cfg = CrawlConfig()
-
-    def qhashes(iid: str, px: "np.ndarray") -> list[dict]:
-        h, w = px.shape[:2]
-        rows = []
-        for qi, (r0, r1, c0, c1) in enumerate(
-                ((0, h // 2, 0, w // 2), (0, h // 2, w // 2, w),
-                 (h // 2, h, 0, w // 2), (h // 2, h, w // 2, w))):
-            q = px[r0:r1, c0:c1]
-            g = q.astype(np.float32).mean(axis=2)
-            rows.append({"qkey": f"{qi}:{codecs.phash64(q)}"
-                                 f":{int(g.mean()) // 8}:{int(g.var()) // 64}",
-                         "image_id": iid})
-        return rows
-
-    schema = pa.schema([("qkey", pa.string()), ("image_id", pa.string())])
-    sh = frontier.map_batches(
-        FetchFeaturizer,
-        fn_constructor_args=(f"{fdir}/corpus.parquet", qhashes, schema),
-        batch_format="pyarrow", batch_size=cfg.fetch_batch_size,
-        concurrency=cfg.fetch_actors, num_cpus=cfg.actor_num_cpus,
-    )
-
-    def pairs_bucket(bdf: pd.DataFrame) -> pd.DataFrame:
-        m = bdf.merge(bdf, on="qkey")
-        m = m[m["image_id_x"] < m["image_id_y"]]
-        if len(m) == 0:
-            return pd.DataFrame({"image_a": pd.Series([], dtype=object),
-                                 "image_b": pd.Series([], dtype=object),
-                                 "n_quads": pd.Series([], dtype="int64")})
-        g = (m.groupby(["image_id_x", "image_id_y"], as_index=False)
-             .agg(n_quads=("qkey", "size")))
-        g["n_quads"] = g["n_quads"].astype("int64")
-        return g.rename(columns={"image_id_x": "image_a",
-                                 "image_id_y": "image_b"})
-
-    part = B.bucketed_map_groups(sh, ["qkey"], pairs_bucket)
-    ded = B.grouped_aggregate_auto(
-        part, ["image_a", "image_b"],
-        [Sum("n_quads", alias_name="n_quads")])
-    out = ded.to_pandas()
-    out["n_quads"] = out["n_quads"].astype("int64")
-    return out.sort_values(["image_a", "image_b"]).reset_index(drop=True)
-
-
-def _image_dup_clusters(sf_dir: str):
-    """Transitive closure of image near-duplicates: connected components
-    (analytics.connected_components — bucketed-join min-label propagation)
-    over the phash-LSH verified pair graph, labeling every corpus image with
-    the smallest image number reachable through near-dup edges. This is the
-    retention side of image dedup at 100 TB: keep rows where
-    image number == cluster_id, drop the rest — a per-batch filter once
-    labels exist. Fixture image ids are img_%08d, so id ↔ int is bijective."""
-    import numpy as np
-    import pandas as pd
-
-    from cninfo_crawler_ray.functions.bucketed import _pa_from_pandas
-    from cninfo_crawler_ray.pipelines.analytics import connected_components
-    from cninfo_crawler_ray.sources.corpus import ensure_fixtures, scale_for_sf_dir
-    from cninfo_crawler_ray.sources.readers import read_parquet_clean
-
-    fdir = ensure_fixtures(min(scale_for_sf_dir(sf_dir), 10_000))
-    import pyarrow.parquet as _pq
-
-    n_rows = _pq.ParquetFile(f"{fdir}/corpus.parquet").metadata.num_rows
-    nodes = read_parquet_clean(
-        f"{fdir}/corpus.parquet", columns=["image_id"],
-        override_num_blocks=max(1, min(64, -(-n_rows // 8192)))
-    ).map_batches(
-        lambda t: _pa_from_pandas(pd.DataFrame(
-            {"node": np.asarray([int(s[4:]) for s in t["image_id"].to_pylist()],
-                                dtype=np.int64)})),
-        batch_format="pyarrow")
-    # the verified pair graph flows in AS A DATASET — per-batch id→int
-    # conversion, never a driver-resident edge list (VERDICT r02 §2)
-    edge = _phash_near_dup_ds(sf_dir).map_batches(
-        lambda df: pd.DataFrame({"a": df["image_a"].str[4:].astype("int64"),
-                                 "b": df["image_b"].str[4:].astype("int64")}),
-        batch_format="pandas")
-
-    def fmt(df: pd.DataFrame) -> pd.DataFrame:
-        # per-batch id formatting — labels stream out, never collected whole
-        return pd.DataFrame({
-            "image_id": "img_" + df["node"].astype("int64").astype(str).str.zfill(8),
-            "cluster_id": df["cluster_id"].astype("int64"),
-        })
-
-    return connected_components(nodes, edge).map_batches(fmt, batch_format="pandas")
-
-
-def _image_thumbnails(sf_dir: str, out_h: int = 8, out_w: int = 8):
-    """Multimodal resize stage: fetch validated images → decode → area-mean
-    resize → re-encode, all inside one actor pool (bytes never leave the
-    actor between decode and re-encode). Output is the light per-image
-    projection (crc + mean of the thumbnail) so the compare never ships
-    payload bytes; the full thumb bytes stay available via the stage."""
-    import pandas as pd
-    import pyarrow as pa
-
-    from cninfo_crawler_ray.config import CrawlConfig
-    from cninfo_crawler_ray.pipelines import stage1
-    from cninfo_crawler_ray.sources.corpus import ensure_fixtures, scale_for_sf_dir
-    from cninfo_crawler_ray.stages.fetch import Fetcher
-    from cninfo_crawler_ray.stages.multimodal import Thumbnailer
-
-    fdir = ensure_fixtures(min(scale_for_sf_dir(sf_dir), 10_000))
-    frontier = stage1.build_frontier(fdir)
-    cfg = CrawlConfig()
-    fetched = frontier.map_batches(
-        Fetcher, fn_constructor_args=(f"{fdir}/corpus.parquet",),
-        batch_format="pyarrow", batch_size=cfg.fetch_batch_size,
-        concurrency=cfg.fetch_actors, num_cpus=cfg.actor_num_cpus,
-    )
-
-    def with_image_id(t: pa.Table) -> pa.Table:
-        ids = [u.rsplit("/", 1)[-1].rsplit(".", 1)[0]
-               for u in t["PDF链接"].to_pylist()]
-        return pa.table({"image_id": pa.array(ids, pa.string()),
-                         "bytes": t["bytes"]})
-
-    thumbs = fetched.map_batches(with_image_id, batch_format="pyarrow").map_batches(
-        Thumbnailer, fn_constructor_args=(out_h, out_w),
-        batch_format="pyarrow", batch_size=cfg.decode_batch_size,
-        concurrency=cfg.decode_actors, num_cpus=cfg.actor_num_cpus,
-    )
-    out = thumbs.select_columns(["image_id", "thumb_crc32", "thumb_mean"]).to_pandas()
-    return out.sort_values("image_id").reset_index(drop=True)
 
 
 def _scheduled_crawl(sf_dir: str):
@@ -1008,19 +369,19 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "crawl_frontier": _crawl_frontier,
         "fetch_decode_stats": _fetch_decode_stats,
         "wide_report": _wide_report,
-        "image_features": _image_features,
-        "image_size_histogram": _image_size_histogram,
-        "image_luma_histogram": _image_luma_histogram,
-        "image_dominant_color": _image_dominant_color,
-        "image_border_contrast": _image_border_contrast,
-        "image_quadrant_range": _image_quadrant_range,
-        "image_mirror_asymmetry": _image_mirror_asymmetry,
-        "host_fetch_histogram": _host_fetch_histogram,
-        "decode_psnr_stats": _decode_psnr_stats,
-        "image_thumbnails": _image_thumbnails,
-        "phash_near_dup": _phash_near_dup,
-        "image_dup_clusters": _image_dup_clusters,
-        "image_region_near_dup": _image_region_near_dup,
+        "image_features": IMG.q_image_features,
+        "image_size_histogram": IMG.q_image_size_histogram,
+        "image_luma_histogram": IMG.q_image_luma_histogram,
+        "image_dominant_color": IMG.q_image_dominant_color,
+        "image_border_contrast": IMG.q_image_border_contrast,
+        "image_quadrant_range": IMG.q_image_quadrant_range,
+        "image_mirror_asymmetry": IMG.q_image_mirror_asymmetry,
+        "host_fetch_histogram": IMG.q_host_fetch_histogram,
+        "decode_psnr_stats": IMG.q_decode_psnr_stats,
+        "image_thumbnails": IMG.q_image_thumbnails,
+        "phash_near_dup": IMG.q_phash_near_dup,
+        "image_dup_clusters": IMG.q_image_dup_clusters,
+        "image_region_near_dup": IMG.q_image_region_near_dup,
         "scheduled_crawl": _scheduled_crawl,
         "image_aspect_ratio_hist": IMG.q_image_aspect_ratio_hist,
         "image_gradient_energy_hist": IMG.q_image_gradient_energy_hist,

@@ -65,10 +65,10 @@ def run_bench() -> dict:
     cfg = CrawlConfig(
         # min pool = ncpu/4: the fused actors reserve 0.5 CPU each, so the
         # floor costs little reservation but skips the 1-by-1 autoscaling
-        # ramp that dominated short timed sections (same sizing as the
-        # image-family queries)
+        # ramp that dominated short timed sections (the image queries'
+        # pool, pipelines/images._fused, starts at ncpu/4 too but is capped
+        # at max(8, ncpu/2))
         fetch_actors=(max(2, num_cpus // 4), max(num_cpus // 2, 2)),
-        decode_actors=(max(2, num_cpus // 4), max(num_cpus // 2, 2)),
     )
     times: dict[str, float] = {}
     extra: dict[str, float] = {}
@@ -299,11 +299,10 @@ def run_headline() -> dict:
     # fused fetch+decode = ONE pool; one actor per CPU (each ~1 core busy)
     pool = max(num_cpus, 2)
     cfg = CrawlConfig(
-        fetch_actors=(pool, pool), decode_actors=(pool, pool),
+        fetch_actors=(pool, pool),
         # web-size payloads are ~100 KB/row: smaller batches keep a batch ×
         # pool within the worker heap budget
         fetch_batch_size=256 if preset == "web" else 512,
-        decode_batch_size=128 if preset == "web" else 256,
     )
 
     frontier = stage1.build_frontier(fdir, cfg).materialize()

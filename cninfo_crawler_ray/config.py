@@ -55,9 +55,7 @@ class CrawlConfig:
     #: Off by default — HEAD-trust is the reference's primary rule.
     probe_sniff_magic: bool = False
     fetch_batch_size: int = 512        # binary payload rows per batch (bytes are KB-MB each)
-    decode_batch_size: int = 256
     fetch_actors: tuple[int, int] = (1, 8)
-    decode_actors: tuple[int, int] = (1, 8)
     #: sort the admitted wave by content key before fetch so each batch hits
     #: a contiguous store range (per-shard request coalescing).
     fetch_locality: bool = True

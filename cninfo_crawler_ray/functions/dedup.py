@@ -5,6 +5,8 @@ Scale shape: every variant is (vectorized per-batch signature computation in
 ``map_batches``) → (a keyed ``groupby`` shuffle on a compact signature) →
 (per-group verification). Signatures are small integers/strings so the
 shuffle moves kilobytes per million docs, never the documents themselves.
+:func:`hamming_lsh_pairs` is that shape for every 64-bit hash family
+(simhash, image phash and dhash).
 """
 
 from __future__ import annotations
@@ -202,6 +204,77 @@ def hamming64(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     x = (a.astype(np.int64).view(np.uint64)) ^ (b.astype(np.int64).view(np.uint64))
     # popcount via unpackbits
     return np.unpackbits(x.view(np.uint8).reshape(-1, 8), axis=1).sum(axis=1)
+
+
+#: 16-bit bands of a 64-bit hash. Two hashes at hamming distance ≤ 3 differ
+#: in at most 3 bands, so they share an untouched one (pigeonhole): banded
+#: LSH finds every pair within radius 3 — exact, not probabilistic.
+LSH_BANDS = 4
+
+
+def lsh_band_keys(h: np.ndarray) -> np.ndarray:
+    """(n,) int64 hashes → (n, LSH_BANDS) int64 band keys
+    ``(b << 16) | band_value``: equal keys ⇔ same band, same 16 bits — no
+    two bands share a key."""
+    u = np.asarray(h, dtype=np.int64).view(np.uint64)
+    b = np.arange(LSH_BANDS, dtype=np.uint64)
+    vals = (u[:, None] >> (np.uint64(16) * b)) & np.uint64(0xFFFF)
+    return ((b << np.uint64(16)) | vals).astype(np.int64)
+
+
+def hamming_lsh_pairs(ds, id_col: str, hash_col: str, max_hamming: int):
+    """Every pair of rows whose int64 ``hash_col`` values lie within
+    ``max_hamming`` bits, as a Dataset of distinct ``(a, b)`` ids (the
+    ``id_col`` type) with ``a < b``. Each row explodes into one row per
+    band key (:func:`lsh_band_keys`); each bucket of equal keys is
+    self-merged and verified with :func:`hamming64`; one keyed reduce drops
+    the pairs that share several bands. Only (key, id, hash) triples
+    shuffle, and no step is all-pairs. Exact for ``max_hamming`` <
+    LSH_BANDS, which is checked."""
+    import pyarrow as pa
+
+    from . import bucketed as B
+
+    if not 0 <= max_hamming < LSH_BANDS:
+        raise ValueError(f"banded LSH is exact only for max_hamming < {LSH_BANDS}")
+
+    def band_rows(t: pa.Table) -> pa.Table:
+        h = t.column(hash_col).to_numpy()
+        rows = np.repeat(np.arange(len(h)), LSH_BANDS)
+        return pa.table({"band_key": lsh_band_keys(h).ravel(),
+                         "id": t.column(id_col).take(rows), "h": h[rows]})
+
+    def pairs_bucket(df: pd.DataFrame) -> pd.DataFrame:
+        m = df.merge(df, on="band_key")
+        m = m[m["id_x"] < m["id_y"]]
+        m = m[hamming64(m["h_x"].to_numpy(), m["h_y"].to_numpy()) <= max_hamming]
+        # plus one self-pair (id, id): Ray packs a 0-row task output as a
+        # schema-less block, which trips the schema-divergence warning among
+        # typed peers, and most buckets hold no pair. Real pairs have a < b,
+        # so the reduce below drops it.
+        first = df["id"].iloc[:1]
+        return pd.DataFrame({"a": pd.concat([m["id_x"], first], ignore_index=True),
+                             "b": pd.concat([m["id_y"], first], ignore_index=True)})
+
+    def dedup_bucket(df: pd.DataFrame) -> pd.DataFrame:
+        return df[df["a"] < df["b"]].drop_duplicates(["a", "b"])
+
+    cand = B.bucketed_map_groups(ds.map_batches(band_rows, batch_format="pyarrow"),
+                                 ["band_key"], pairs_bucket)
+    return B.bucketed_map_groups(cand, ["a", "b"], dedup_bucket,
+                                 auto_parallelism=True)
+
+
+def collect_pairs(pairs, names: tuple[str, str]) -> pd.DataFrame:
+    """A :func:`hamming_lsh_pairs` result on the driver, columns renamed to
+    ``names`` and rows sorted."""
+    out = pairs.to_pandas()
+    if "a" not in out.columns:
+        # zero pairs end to end: the one empty bundle has no columns
+        out = pd.DataFrame(columns=["a", "b"])
+    a, b = names
+    return (out.rename(columns={"a": a, "b": b}).sort_values([a, b])
+            .reset_index(drop=True))
 
 
 # --- embedding cosine ------------------------------------------------------

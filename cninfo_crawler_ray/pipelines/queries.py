@@ -887,46 +887,18 @@ def q_simhash(sf_dir: str):
     )
 
 
-def q_simhash_near_dup(sf_dir: str, bands: int = 4, max_hamming: int = 3):
-    """SimHash near-dup pairs via banded LSH: 16-bit bands of the 64-bit
-    simhash → same band value = candidate → vectorized hamming verify.
-    With 4 bands, any pair at hamming ≤ 3 differs in at most 3 bands, so by
-    pigeonhole it shares an untouched band — banded LSH is EXACT at this
-    threshold (the same argument as phash_near_dup), which is what the
-    brute-force golden checks. Scale shape: the shuffle moves (band_key,
-    doc_id, hash) triples — never documents."""
-    ds = _read(sf_dir, "documents", ["doc_id", "text"])
-
-    def sign_and_band(df: pd.DataFrame) -> pd.DataFrame:
-        h = D.simhash64(df["text"]).to_numpy().view(np.uint64)
-        parts = []
-        width = 64 // bands
-        for b in range(bands):
-            band = (h >> np.uint64(width * b)) & np.uint64((1 << width) - 1)
-            parts.append(pd.DataFrame({
-                "band_key": [f"{b}:{int(v)}" for v in band],
-                "doc_id": df["doc_id"].to_numpy(),
-                "h": h.view(np.int64),
-            }))
-        return pd.concat(parts, ignore_index=True)
-
-    sh = ds.map_batches(sign_and_band, batch_format="pandas", batch_size=512,
-                        num_cpus=0.5)
-
-    def pairs_bucket(b: pd.DataFrame) -> pd.DataFrame:
-        m = b.merge(b, on="band_key")
-        m = m[m["doc_id_x"] < m["doc_id_y"]].drop_duplicates(["doc_id_x", "doc_id_y"])
-        if len(m) == 0:
-            return pd.DataFrame({"doc_a": pd.Series([], dtype="int64"),
-                                 "doc_b": pd.Series([], dtype="int64")})
-        ham = D.hamming64(m["h_x"].to_numpy(), m["h_y"].to_numpy())
-        m = m[ham <= max_hamming]
-        return (m.rename(columns={"doc_id_x": "doc_a", "doc_id_y": "doc_b"})
-                [["doc_a", "doc_b"]].astype({"doc_a": "int64", "doc_b": "int64"}))
-
-    out = B.bucketed_map_groups(sh, ["band_key"], pairs_bucket).to_pandas()
-    return (out.drop_duplicates().sort_values(["doc_a", "doc_b"])
-            .reset_index(drop=True))
+def q_simhash_near_dup(sf_dir: str):
+    """SimHash near-dup pairs at hamming ≤ 3 via the exact banded LSH of
+    :func:`~cninfo_crawler_ray.functions.dedup.hamming_lsh_pairs`: with 4
+    16-bit bands, any pair at hamming ≤ 3 shares an untouched band
+    (pigeonhole), which is what the brute-force golden checks. Scale shape:
+    the shuffle moves (band_key, doc_id, hash) triples — never documents."""
+    hashed = _read(sf_dir, "documents", ["doc_id", "text"]).map_batches(
+        lambda df: pd.DataFrame({"doc_id": df["doc_id"].to_numpy(),
+                                 "h": D.simhash64(df["text"]).to_numpy()}),
+        batch_format="pandas", batch_size=512, num_cpus=0.5)
+    return D.collect_pairs(D.hamming_lsh_pairs(hashed, "doc_id", "h", 3),
+                           ("doc_a", "doc_b"))
 
 
 def _normalize_rows(m: np.ndarray) -> np.ndarray:

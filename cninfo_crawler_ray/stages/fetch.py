@@ -1,4 +1,5 @@
-"""Probe (HEAD-analog) and Fetch (GET-analog) actor-pool stages (S2/S3).
+"""Probe (HEAD-analog) actor-pool stage (S2); the GET side is the fused
+stages/decode.FetchDecode.
 
 Reference: validate_pdf_access does HEAD-then-GET-fallback with a shared
 requests.Session across 10 threads (cninfo_report_crawler.py:128-158, :479);
@@ -12,7 +13,6 @@ rows (the reference swallows exceptions, C:492-493), rows carry explicit
 
 from __future__ import annotations
 
-import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
@@ -65,21 +65,3 @@ class Prober:
             .append_column("head_ok", ok)
         )
 
-
-class Fetcher:
-    """GET fetch: appends (status, content_type, bytes, fetch_seq).
-
-    fetch_seq is assigned from the deterministic order_key — NOT completion
-    order — so resumes and reruns agree (SURVEY.md §0.1.5 spec decision)."""
-
-    def __init__(self, corpus_path: str):
-        self.store = open_store(corpus_path)
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        urls = batch["PDF链接"].to_pylist()
-        g = self.store.get(urls)
-        return (
-            batch.append_column("status", g["status"])
-            .append_column("content_type", g["content_type"])
-            .append_column("bytes", g["bytes"])
-        )

@@ -1,9 +1,10 @@
-"""Multimodal actor-pool stages beyond still images: thumbnails, video
-frame-sampling, audio features (the large-scale training-data-pipeline
-extension set — SURVEY.md §2 extensions).
+"""Multimodal actor-pool stages: the fused fetch+decode+featurize stage
+every image operator runs (pipelines/images.py), video frame-sampling and
+audio features (the large-scale training-data-pipeline extension set —
+SURVEY.md §2 extensions).
 
-All three treat their media as opaque ``binary`` columns with typed
-metadata, exactly how a 100 TB multimodal table stores them. Real codec
+Video and audio stages treat their media as opaque ``binary`` columns with
+typed metadata, exactly how a 100 TB multimodal table stores them. Real codec
 libraries (Pillow/PyAV/soundfile) are absent from this sandbox, so:
 
 - images use the repo's deterministic containers (functions/codecs.py);
@@ -92,48 +93,12 @@ def decode_audio(data: bytes) -> tuple[np.ndarray, int]:
 
 # --- actor-pool stages --------------------------------------------------------
 
-class Thumbnailer:
-    """Decode → area-resize → re-encode stage. One callable class per actor
-    pool; payload bytes stay inside the actor between decode and re-encode
-    (the same fusion argument as stages/decode.FetchDecode)."""
-
-    def __init__(self, out_h: int = 8, out_w: int = 8, out_fmt: str = "raw"):
-        self.out_h, self.out_w, self.out_fmt = out_h, out_w, out_fmt
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        import zlib
-
-        ids, thumbs, crcs, means = [], [], [], []
-        from ..sources.store import binary_views
-
-        for iid, blob in zip(batch["image_id"].to_pylist(),
-                             binary_views(batch["bytes"])):
-            if not blob:
-                continue
-            try:
-                px, _, _ = codecs.decode_image(blob)
-            except (ValueError, NotImplementedError):
-                continue
-            th = codecs.resize_area(px, self.out_h, self.out_w)
-            enc = codecs.encode_image(th, self.out_fmt)
-            ids.append(iid)
-            thumbs.append(enc)
-            crcs.append(zlib.crc32(enc))
-            means.append(float(th.mean()))
-        return pa.table({
-            "image_id": pa.array(ids, pa.string()),
-            "thumb": pa.array(thumbs, pa.large_binary()),
-            "thumb_crc32": pa.array(crcs, pa.int64()),
-            "thumb_mean": pa.array(means, pa.float64()),
-        }).replace_schema_metadata(None)
-
-
 class FetchFeaturizer:
     """Fused fetch + decode + featurize stage: one actor holds the
     CorpusStore, GETs its batch's payloads, decodes each image and applies a
     per-image feature kernel — payload bytes live only inside the actor for
     the microseconds between GET and featurize, exactly the
-    stages/decode.FetchDecode fusion (separate Fetcher→feature stages were
+    stages/decode.FetchDecode fusion (separate fetch→feature stages were
     measured shipping ~90 KB/row through the object store for ~200 B of
     features out — VERDICT r02 §4).
 

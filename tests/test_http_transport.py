@@ -134,7 +134,7 @@ def test_fetch_decode_over_http_byte_identical(ray_session, fixture_dir,
     table the columnar transport produces — the full transport-swap contract
     on the flagship path."""
     frontier = stage1.build_frontier(fixture_dir).materialize()
-    cfg = CrawlConfig(fetch_actors=(2, 2), decode_actors=(2, 2))
+    cfg = CrawlConfig(fetch_actors=(2, 2))
 
     def run(path):
         ds = stage2.fetch_decode(frontier, path, cfg)

@@ -166,13 +166,22 @@ def test_embedding_pairs_ivf_mode_recall(entrymod, ray_session):
 
 GOLDEN_CHECKED = ["rolling_fingerprint", "simhash", "simhash_near_dup",
                   "minhash_lsh_dedup", "ann_lsh_topk", "ann_ivf_topk",
-                  "dup_clusters", "approx_distinct_users"]
+                  "dup_clusters", "approx_distinct_users",
+                  # image near-dup, resize and curation operators, plus one
+                  # count_hist histogram from each generator
+                  "phash_near_dup", "image_dhash_near_dup",
+                  "image_dup_clusters", "image_region_near_dup",
+                  "image_thumbnails", "image_curation_pipeline",
+                  "image_luma_histogram", "image_orientation_hist"]
 
 
 @pytest.mark.parametrize("name", GOLDEN_CHECKED)
 def test_query_matches_spec_golden(entrymod, name):
-    """Goldens (goldens/sf0.01) come from the independent row-at-a-time spec
-    implementation in tools/make_text_goldens.py; valid at sf0.01 only."""
+    """Goldens (goldens/sf0.01, valid at sf0.01 only) come from independent
+    implementations of each operator's spec: the text/embedding ones from
+    tools/make_text_goldens.py, the image ones from tools/make_goldens*.py
+    (brute-force hamming pairs, union-find clusters, a dict-bucket region
+    index, a loop-based resize, per-image kernels written another way)."""
     import pyarrow.parquet as pq
 
     got = _canon(_to_df(entrymod.queries()[name]("/root/testdata/sf0.01")))
@@ -202,6 +211,73 @@ def test_minhash_batch_matches_per_doc():
     assert keys.shape == (len(texts), 16) and keys.dtype == np.int64
     # the two identical "one two" docs must share every band key
     assert np.array_equal(keys[-1], keys[-3])
+
+
+def test_lsh_band_keys_are_exact_per_band():
+    """Band keys are (band << 16) | 16-bit band value: the same value in
+    two different bands must give two different keys."""
+    from cninfo_crawler_ray.functions import dedup as D
+
+    same = np.array([0x0005_0005_0005_0005], dtype=np.uint64).view(np.int64)
+    keys = D.lsh_band_keys(same)
+    assert keys.dtype == np.int64 and keys.shape == (1, D.LSH_BANDS)
+    assert len(set(keys[0].tolist())) == D.LSH_BANDS
+    assert (keys[0] >> 16).tolist() == list(range(D.LSH_BANDS))
+    assert ((keys[0] & 0xFFFF) == 5).all()
+    # top bit set (a negative int64) stays inside its band
+    neg = np.array([-1], dtype=np.int64)
+    assert ((D.lsh_band_keys(neg)[0] & 0xFFFF) == 0xFFFF).all()
+
+
+@pytest.mark.parametrize("id_type", ["str", "int64"])
+def test_hamming_lsh_pairs_matches_brute_force(ray_session, id_type):
+    """Banded LSH must return exactly the brute-force all-pairs hamming set:
+    planted pairs at distances 0-3 (flips spread over distinct bands, so a
+    distance-3 pair shares ONE band), the same 16-bit value planted in
+    different bands of unrelated hashes, one input block with no pair, and
+    no self-pair left over from the empty-bucket rows."""
+    import ray.data as rd
+
+    from cninfo_crawler_ray.functions import dedup as D
+
+    rng = np.random.default_rng(11)
+    u = list(rng.integers(0, 2**64 - 1, size=120, dtype=np.uint64))
+    for i, d in enumerate((0, 0, 1, 2, 3, 3, 4)):
+        # d flipped bits, one in each of d different bands
+        u.append(np.uint64(int(u[i]) ^ sum(1 << (16 * k + 5 + i) for k in range(d))))
+    # band 0's value of hash 20 planted in band 2 of an unrelated hash
+    u.append(np.uint64(((int(u[20]) & 0xFFFF) << 32) | 0x1234_0000_0000_9999))
+    h = np.array(u, dtype=np.uint64).view(np.int64)
+    n = len(h)
+    ids = (np.array([f"img_{(i * 37) % 1000:04d}" for i in range(n)], dtype=object)
+           if id_type == "str" else (np.arange(n, dtype=np.int64) * 37) % 1000)
+    df = pd.DataFrame({"id": ids, "h": h})
+    # a last block of fresh random hashes: no pair inside it or with others
+    lone = pd.DataFrame({
+        "id": (np.array([f"z_{i}" for i in range(20)], dtype=object)
+               if id_type == "str" else np.arange(20, dtype=np.int64) + 5000),
+        "h": rng.integers(0, 1 << 62, size=20, dtype=np.int64)})
+    full = pd.concat([df, lone], ignore_index=True)
+
+    for max_h in (2, 3):
+        hv = full["h"].to_numpy()
+        ii, jj = np.triu_indices(len(full), k=1)
+        close = D.hamming64(hv[ii], hv[jj]) <= max_h
+        want = {tuple(sorted((full["id"][i], full["id"][j])))
+                for i, j in zip(ii[close], jj[close])}
+        assert len(want) >= 4  # the planted pairs at or under max_h
+        ds = rd.from_pandas([df.iloc[:60], df.iloc[60:], lone])
+        got = D.collect_pairs(D.hamming_lsh_pairs(ds, "id", "h", max_h),
+                              ("a", "b"))
+        assert (got["a"] < got["b"]).all()
+        assert set(zip(got["a"], got["b"])) == want
+        assert len(got) == len(want)
+
+    none = D.collect_pairs(D.hamming_lsh_pairs(rd.from_pandas(lone), "id", "h", 3),
+                           ("a", "b"))
+    assert none.empty and list(none.columns) == ["a", "b"]
+    with pytest.raises(ValueError):
+        D.hamming_lsh_pairs(rd.from_pandas(lone), "id", "h", 4)
 
 
 def test_simhash_semantic(entrymod, ray_session):

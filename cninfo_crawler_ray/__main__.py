@@ -72,8 +72,7 @@ def _cmd_crawl(args) -> int:
                                   max(stage1.fixture_dates(fdir)))
         out = os.path.join(out, frontier_csv_name(
             span[0], span[1], args.report_type))
-    stage1.write_frontier_csv(frontier, out)
-    n = len(stage1.frontier_csv_view(frontier))
+    n = len(stage1.write_frontier_csv(frontier, out))
     print(f"crawl: {n} valid reports -> {out} ({time.time() - t0:.1f}s)")
     return 0
 
@@ -133,11 +132,8 @@ def _cmd_collect(args) -> int:
               f"{stats.get('exists', 0)} already present, "
               f"{stats.get('rejected', 0)} rejected")
     decoded = stage2.fetch_decode(frontier, f"{fdir}/corpus.parquet", cfg)
-    long_ds = stage2.long_from_decoded(decoded)
-    wide_ds = stage2.wide_from_long(long_ds)
+    long_df, wide_df = stage2.reports(stage2.long_from_decoded(decoded))
     os.makedirs(args.out_dir, exist_ok=True)
-    long_df = stage2.long_view(long_ds)
-    wide_df = stage2.wide_view(wide_ds)
     long_p = os.path.join(args.out_dir, "report_long.parquet")
     wide_p = os.path.join(args.out_dir, "report_wide.parquet")
     long_df.to_parquet(long_p)

@@ -1,21 +1,18 @@
 """Typed crawl configuration.
 
 Elevates the reference's scattered module constants and magic numbers
-(SURVEY.md §2.10, §4.2) into one config object. The politeness budget values
-are the reference's implied envelope: 1 listing page / 0.3 s per stream
-(cninfo_report_crawler.py:331), 10 concurrent validation probes (:479), 5
-concurrent fetches (report_info_collection.py:633).
+(SURVEY.md §2.10, §4.2) into one config object. The listing pace is the
+reference's: 1 listing page / 0.3 s per stream (cninfo_report_crawler.py:331).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
 class CrawlConfig:
     # --- listing / pagination guards (cninfo_report_crawler.py) ---
-    page_size: int = 30            # :197
     max_pages_limit: int = 500     # :263-267
     overrun_pages: int = 3         # stop at totalpages + 3   (:249-252)
     overrun_empty_stop: int = 2    # past totalpages + 2 consecutive empty (:254-257)
@@ -24,8 +21,6 @@ class CrawlConfig:
     # --- politeness budget (virtual ticks; 10 ticks == 1 s) ---
     ticks_per_second: int = 10
     listing_page_ticks: int = 3    # 0.3 s between listing pages (:331)
-    validate_concurrency: int = 10  # ThreadPoolExecutor(10) analog (:479)
-    fetch_concurrency: int = 5      # ThreadPoolExecutor(5) analog (report_info_collection.py:633)
     #: token-bucket refill per host, requests per second (fetch stage).
     host_rate: float = 1000.0
     host_burst: int = 2000
@@ -39,11 +34,6 @@ class CrawlConfig:
     #: run sets this to O(10^6) per shard).
     frontier_spill_rows: int | None = None
     num_hosts: int = 8             # synthetic host universe (hot host 0)
-    #: hash buckets for the grouped reductions (A2/A3, A5/A6). Each bucket is
-    #: one vectorized map_groups call covering MANY logical keys — per-group
-    #: Python overhead stays O(buckets), not O(distinct keys). On a cluster,
-    #: size ≈ 2-4 × total cores so buckets spread evenly.
-    reduce_buckets: int = 32
 
     # --- Ray Data stage sizing ---
     listing_batch_size: int = 1        # seeds per listing task — one stream
@@ -73,7 +63,6 @@ class CrawlConfig:
 
     # --- report-type config (J2; cninfo_report_crawler.py:24-29) ---
     report_type: str = "ndbg"
-    categories: tuple[str, ...] = field(default=("category_ndbg_szsh",))
 
 
 DEFAULT_CONFIG = CrawlConfig()

@@ -113,11 +113,7 @@ def run_crawl(
             dict(zip(host_counts_df["host"], host_counts_df["n"])), gate)
 
     decoded = stage2.fetch_decode(frontier, f"{fdir}/corpus.parquet", cfg, concurrency=concurrency)
-    # materialized: the long and wide views below each consume it, and a
-    # lazy plan would fetch and decode every URL once per view
-    long_ds = stage2.long_from_decoded(decoded).materialize()
-    long_df = stage2.long_view(long_ds)
-    wide_df = stage2.wide_view(stage2.wide_from_long(long_ds))
+    long_df, wide_df = stage2.reports(stage2.long_from_decoded(decoded))
     counters["long_rows"] = len(long_df)
     counters["wide_rows"] = len(wide_df)
     return {"long": long_df, "wide": wide_df, "counters": counters}

@@ -113,7 +113,6 @@ def run_scheduled_crawl(
     *,
     wave_size: int = 4096,
     concurrency=None,
-    use_actors: bool = True,
     max_rounds: int = 10_000,
     ckpt_dir: str | None = None,
     gate_overrides: dict | None = None,
@@ -154,8 +153,7 @@ def run_scheduled_crawl(
         gate.set_host_rate(host, rate, burst)
     for host, prefixes in (robots or {}).items():
         gate.set_robots(host, prefixes)
-    fr = ShardedFrontier(cfg.seen_shards, use_actors=use_actors,
-                         spill_threshold=cfg.frontier_spill_rows)
+    fr = ShardedFrontier(cfg.seen_shards, spill_threshold=cfg.frontier_spill_rows)
     counters = {"rounds": 0, "empty_waves": 0, "politeness_wait_ticks": 0,
                 "robots_denied": 0, "dead_lettered": 0,
                 "round_ticks": [], "round_admitted": []}  # gate tick +
@@ -195,29 +193,20 @@ def run_scheduled_crawl(
         # consume it, and a lazy plan would run stage 1 once per read
         frontier_ds = stage1.build_frontier(
             fixture_dir, cfg, concurrency=concurrency).materialize()
-        if use_actors:
-            # distributed seed: admission RPC + heap push happen inside the
-            # map tasks; only per-batch counts (and one metadata row) reach
-            # the driver
-            head = frontier_ds.limit(1).to_pandas()
-            cols = list(head.columns)
-            dtypes = [str(t) for t in head.dtypes]
-            stats = frontier_ds.map_batches(
-                _SeedBatch,
-                fn_constructor_args=(seen.shards, fr.shards, cols, dtypes),
-                batch_format="pandas", batch_size=4096,
-                concurrency=(1, 8), num_cpus=0.5,
-            ).to_pandas()
-            fr.columns, fr.dtypes = cols, dtypes
-            counters["frontier_rows"] = int(stats["admitted"].sum())
-        else:
-            # in-process shards (unit tests): driver-side admission
-            fdf = frontier_ds.to_pandas()
-            is_new = admit(seen.shards, bytes.fromhex("".join(fdf["url_sha1"])),
-                           fdf["order_key"].to_numpy())
-            fdf = fdf[is_new].reset_index(drop=True)
-            fr.push_pandas(fdf)
-            counters["frontier_rows"] = len(fdf)
+        # distributed seed: admission RPC + heap push happen inside the map
+        # tasks; only per-batch counts (and one metadata row) reach the
+        # driver
+        head = frontier_ds.limit(1).to_pandas()
+        cols = list(head.columns)
+        dtypes = [str(t) for t in head.dtypes]
+        stats = frontier_ds.map_batches(
+            _SeedBatch,
+            fn_constructor_args=(seen.shards, fr.shards, cols, dtypes),
+            batch_format="pandas", batch_size=4096,
+            concurrency=(1, 8), num_cpus=0.5,
+        ).to_pandas()
+        fr.columns, fr.dtypes = cols, dtypes
+        counters["frontier_rows"] = int(stats["admitted"].sum())
 
     consecutive_empty = 0
     while fr.total() > 0 and rounds < max_rounds:
@@ -267,16 +256,13 @@ def run_scheduled_crawl(
         if round_files:
             from ..sources.readers import read_parquet_clean
 
-            long_ds = read_parquet_clean(round_files)
-            wide_df = stage2.wide_view(stage2.wide_from_long(long_ds))
-            long_view = stage2.long_view(long_ds)
+            long_df, wide_df = stage2.reports(read_parquet_clean(round_files))
         else:
-            wide_df = pd.DataFrame()
-            long_view = pd.DataFrame()
+            long_df, wide_df = pd.DataFrame(), pd.DataFrame()
     finally:
         if own_rounds_dir:
             shutil.rmtree(own_rounds_dir, ignore_errors=True)
-    counters["long_rows"] = len(long_view)
+    counters["long_rows"] = len(long_df)
     counters["wide_rows"] = len(wide_df)
-    return {"long": long_view, "wide": wide_df, "counters": counters,
+    return {"long": long_df, "wide": wide_df, "counters": counters,
             "seen_total": seen.total()}

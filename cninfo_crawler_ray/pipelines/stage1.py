@@ -5,18 +5,20 @@ Ray-Data shape (SURVEY.md §3.1 traced → §7.6):
     seeds ──map_batches(ListingEnumerator actor pool)──▶ announcements
           ──map_batches(vectorized normalize+filter+hash)──▶ candidates
           ──map_batches(Prober actor pool)──▶ head-validated
-          ──map_batches(partial A2 + bucket)──▶ combiner output
-          ──groupby(_bucket).map_groups(vectorized A2+A3)──▶ one row per code
+          ──map_batches(partial A2 combiner)──▶ combiner output
+          ──bucketed_map_groups(股票代码, vectorized A2+A3)──▶ one row per code
           ──sort(order_key)──▶ frontier
 
-One shuffle total: A2 (3-col dedup) and A3 (keep-latest per code) share the
-股票代码 key, so they collapse into a single grouped reduction, hash-bucketed
-so each reduce call handles MANY codes with vectorized pandas (per-group
-Python overhead is O(buckets), not O(codes)), with a within-batch A2
-combiner shrinking shuffle volume first. Every other step is an
-embarrassingly-parallel batch transform. Crawl order is pinned by
-``order_key`` stamped at admission (SURVEY.md §3.4), so results are identical
-at any parallelism.
+One keyed reduction total: A2 (3-col dedup) and A3 (keep-latest per code)
+share the 股票代码 key, so they collapse into one
+``functions/bucketed.bucketed_map_groups`` call — the engine's keyed-reduce
+skeleton: codes hash into buckets, each reduce call handles MANY codes with
+vectorized pandas (per-group Python overhead is O(partitions), not
+O(codes)), and the partition count follows the combiner's row count
+(``auto_parallelism``). A within-batch A2 combiner shrinks the exchange
+first. Every other step is an embarrassingly-parallel batch transform.
+Crawl order is pinned by ``order_key`` stamped at admission (SURVEY.md
+§3.4), so results are identical at any parallelism.
 """
 
 from __future__ import annotations
@@ -29,10 +31,11 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
+import ray
 import ray.data as rd
 
 from ..config import CrawlConfig
-from ..functions.bucketed import _pa_from_pandas
+from ..functions.bucketed import _pa_from_pandas, bucketed_map_groups
 from ..functions import kernels, urls as U
 from ..schemas import FRONTIER_CSV_COLUMNS
 from ..stages.fetch import Prober
@@ -96,28 +99,23 @@ def _empty_candidates() -> pa.Table:
 A2_KEYS = ["股票代码", "公司名称", "财报名称"]
 
 
-def _partial_a2_bucket(t: pa.Table, num_buckets: int) -> pa.Table:
-    """Combiner + bucketing before the A2/A3 shuffle.
+def _partial_a2_bucket(t: pa.Table) -> pa.Table:
+    """Combiner before the A2/A3 exchange.
 
     Within-batch A2 dedup (keep min order_key per 3-key) is a safe partial
     reduction — the global winner per key is the global min order_key, an
-    associative argmin — and it shrinks shuffle volume. ``_bucket`` =
-    hash(股票代码) % B groups MANY codes per reduce call; all rows of one
-    code land in one bucket, so the per-bucket kernel is exact."""
+    associative argmin — and it shrinks shuffle volume."""
     df = t.to_pandas()
     df = df.sort_values("order_key", kind="stable").drop_duplicates(
         subset=A2_KEYS, keep="first"
     )
-    df["_bucket"] = (
-        pd.util.hash_pandas_object(df["股票代码"], index=False) % num_buckets
-    ).astype("int32")
     return _pa_from_pandas(df, preserve_index=False)
 
 
 def _a2_a3_bucket(df: pd.DataFrame) -> pd.DataFrame:
     """A2 (3-col dedup, keep first-in-canonical-order) + A3 (keep latest
     报告日期 per 股票代码, ties → canonical order) for EVERY code in one
-    hash bucket, fully vectorized (cninfo_report_crawler.py:524-530)."""
+    reduce partition, fully vectorized (cninfo_report_crawler.py:524-530)."""
     g = df.sort_values("order_key", kind="stable")
     g = g.drop_duplicates(subset=A2_KEYS, keep="first")
     d = pd.to_datetime(g["报告日期"], errors="coerce").fillna(pd.Timestamp.min)
@@ -125,7 +123,7 @@ def _a2_a3_bucket(df: pd.DataFrame) -> pd.DataFrame:
         ["股票代码", "_d", "order_key"], ascending=[True, False, True], kind="stable"
     )
     g = g.drop_duplicates(subset=["股票代码"], keep="first")
-    return g.drop(columns=["_d", "_bucket"])
+    return g.drop(columns=["_d"])
 
 
 def fixture_dates(fixture_dir: str) -> list[date]:
@@ -139,6 +137,30 @@ def target_years_for(fixture_dir: str, dates: list[date] | None = None) -> list[
     return kernels.target_years(min(ds), max(ds))
 
 
+@ray.remote(num_cpus=0)
+def _import_package() -> None:
+    # a worker unpickles this function by reference, which imports the
+    # package; the body only names the import the check is about
+    import cninfo_crawler_ray  # noqa: F401
+
+
+def _require_worker_import() -> None:
+    """Raise at once when Ray workers cannot import ``cninfo_crawler_ray``.
+
+    Otherwise every stage actor dies unpickling its class and Ray restarts
+    it in a loop, so the crawl never returns. One zero-CPU task is enough:
+    its function is shipped by reference, exactly like the actor classes."""
+    if not ray.is_initialized():
+        return  # the driver owns the session; Ray Data starts one lazily
+    try:
+        ray.get(_import_package.remote())
+    except ray.exceptions.RayTaskError as e:
+        raise RuntimeError(
+            "Ray workers cannot import cninfo_crawler_ray: put the repository "
+            "on the workers' path (PYTHONPATH, or runtime_env py_modules / "
+            "working_dir) before ray.init") from e
+
+
 def build_frontier(
     fixture_dir: str,
     config: CrawlConfig | None = None,
@@ -148,11 +170,14 @@ def build_frontier(
 ) -> rd.Dataset:
     """Run stage 1 over a fixture directory; returns the frontier Dataset
     sorted by canonical order. Does NOT call ray.init (driver owns the
-    session).
+    session). Listing, probe and the A2 combiner execute here, once: the
+    A2/A3 reduce sizes its partitions from their row count; the reduce and
+    the order sort stay lazy.
 
     ``dates`` restricts the crawl to the given listing dates (the CLI's
     --start-date/--end-date range, cninfo_report_crawler.py:32-53); target
     years derive from the requested range like the reference (C:384-400)."""
+    _require_worker_import()
     cfg = config or CrawlConfig()
     years = target_years_for(fixture_dir, dates)
     ann_path = os.path.join(fixture_dir, "announcements.parquet")
@@ -182,10 +207,8 @@ def build_frontier(
     # one actor at a time; floors reserve little (0.5 CPU per actor) and
     # skip the ramp. Caps stay modest — listing parallelism is bounded by
     # the (exchange, date) stream count anyway.
-    import ray as _ray
-
-    _ncpu = (int(_ray.cluster_resources().get("CPU", 8))
-             if _ray.is_initialized() else 8)
+    _ncpu = (int(ray.cluster_resources().get("CPU", 8))
+             if ray.is_initialized() else 8)
     pool = concurrency or (max(2, _ncpu // 8), max(8, _ncpu // 4))
     anns = seeds.map_batches(
         ListingEnumerator,
@@ -212,14 +235,12 @@ def build_frontier(
         lambda t: _partial_a2_bucket(
             t.filter(t["head_ok"]).drop_columns(
                 ["status", "content_type", "content_length", "head_ok"]
-            ),
-            cfg.reduce_buckets,
+            )
         ),
         batch_format="pyarrow",
     )
-    frontier = valid.groupby("_bucket").map_groups(
-        lambda b: _pa_from_pandas(_a2_a3_bucket(b)), batch_format="pandas"
-    )
+    frontier = bucketed_map_groups(valid, ["股票代码"], _a2_a3_bucket,
+                                   auto_parallelism=True)
     return frontier.sort("order_key")
 
 
@@ -231,10 +252,13 @@ def frontier_csv_view(frontier: rd.Dataset) -> pd.DataFrame:
     return df.sort_values("order_key", kind="stable")[FRONTIER_CSV_COLUMNS].reset_index(drop=True)
 
 
-def write_frontier_csv(frontier: rd.Dataset, path: str) -> None:
+def write_frontier_csv(frontier: rd.Dataset, path: str) -> pd.DataFrame:
     """S5 — the reference's CSV sink (cninfo_report_crawler.py:535-537):
-    fixed column order, utf-8-sig BOM so the artifact is byte-compatible."""
-    frontier_csv_view(frontier).to_csv(path, index=False, encoding="utf-8-sig")
+    fixed column order, utf-8-sig BOM so the artifact is byte-compatible.
+    Returns the written view, so callers never execute the frontier again."""
+    view = frontier_csv_view(frontier)
+    view.to_csv(path, index=False, encoding="utf-8-sig")
+    return view
 
 
 def frontier_from_csv(path: str, config: CrawlConfig | None = None) -> rd.Dataset:

@@ -6,7 +6,11 @@ Ray-Data shape (SURVEY.md §3.2 traced → §7.6-7.8):
     frontier ──map_batches(FetchDecode actor pool)──▶ decoded+items
                                           (GET R:253 + decode R:151-198)
              ──map_batches(explode long rows)──▶ long             (R:287-310)
-    long     ──groupby(doc keys).map_groups(A5+A6+J3)──▶ wide     (R:431-548)
+    long     ──bucketed_map_groups(PDF链接, A5+A6+J3)──▶ wide     (R:431-548)
+
+``reports`` materializes the long rows once and builds both report views
+from them; the wide pivot runs on ``functions/bucketed``'s keyed-reduce
+skeleton, its partition count sized from the long row count.
 
 Checkpointing: the frontier is already partitioned by url-sha1 hash range
 (``partition_id``). ``run_stage2`` processes partitions in groups; each
@@ -31,7 +35,7 @@ import pyarrow.compute as pc
 import ray.data as rd
 
 from ..config import CrawlConfig
-from ..functions.bucketed import _pa_from_pandas
+from ..functions.bucketed import bucketed_map_groups
 from ..functions.kernels import adjust_amount_special, sentinel_to_zero
 from ..schemas import LONG_COLUMNS, PARENT_CATEGORIES
 from ..stages.decode import FetchDecode
@@ -160,24 +164,11 @@ def long_from_decoded(decoded: rd.Dataset) -> rd.Dataset:
     return decoded.map_batches(_explode_long, batch_format="pyarrow")
 
 
-def _bucket_by_doc(t: pa.Table, num_buckets: int) -> pa.Table:
-    """Hash documents (PDF链接) into B buckets so the A5+A6 reduce runs one
-    vectorized kernel per bucket instead of one Python call per document."""
-    df = t.to_pandas()
-    from ..functions.bucketed import BUCKET_FANOUT
-
-    df["_bucket"] = (
-        pd.util.hash_pandas_object(df["PDF链接"], index=False)
-        % (num_buckets * BUCKET_FANOUT)
-    ).astype("int32")
-    return _pa_from_pandas(df, preserve_index=False)
-
-
 def _wide_bucket(df: pd.DataFrame) -> pd.DataFrame:
     """A5 (per (doc, 项目名称): first positive 金额 else first, canonical
     order, report_info_collection.py:462-489) + A6 pivot (R:492-497) + J3
     flag carry (constant per document, R:507-516) for every document in one
-    hash bucket — all vectorized."""
+    reduce partition — all vectorized."""
     from ..functions.kernels import numeric_value_col
     from ..schemas import SENTINELS, WIDE_COLUMNS
 
@@ -204,23 +195,11 @@ def _wide_bucket(df: pd.DataFrame) -> pd.DataFrame:
     return wide[WIDE_COLUMNS]
 
 
-def wide_from_long(long_ds: rd.Dataset, num_buckets: int = 32) -> rd.Dataset:
-    """A5+A6+J3 in one bucketed grouped shuffle over the document keys."""
-    bucketed = long_ds.map_batches(
-        _bucket_by_doc, fn_kwargs={"num_buckets": num_buckets},
-        batch_format="pyarrow",
-    )
-    # coalesce to ≤ num_buckets blocks, sort on the bucket, and pivot each
-    # partition with ONE _wide_bucket call (the kernel reduces by document
-    # key internally, so the partition-level call is exact; a per-fine-bucket
-    # dispatch cost 2× wall at sf0.1 — see functions/bucketed.py)
-    def _apply_block(b: pd.DataFrame):
-        if "_bucket" not in b.columns:  # schema-less empty sort partition
-            return pa.table({})
-        return _pa_from_pandas(_wide_bucket(b.drop(columns=["_bucket"])))
-
-    return (bucketed.repartition(num_buckets).sort("_bucket")
-            .map_batches(_apply_block, batch_size=None, batch_format="pandas"))
+def wide_from_long(long_ds: rd.Dataset) -> rd.Dataset:
+    """A5+A6+J3 in one bucketed keyed reduction over the document URL, its
+    partition count sized from the long row count."""
+    return bucketed_map_groups(long_ds, ["PDF链接"], _wide_bucket,
+                               auto_parallelism=True)
 
 
 # ---------------------------------------------------------------------------
@@ -443,3 +422,11 @@ def long_view(long_ds: rd.Dataset) -> pd.DataFrame:
 def wide_view(wide_ds: rd.Dataset) -> pd.DataFrame:
     df = wide_ds.to_pandas()
     return df.sort_values(DOC_KEYS, kind="stable").reset_index(drop=True)
+
+
+def reports(long_ds: rd.Dataset) -> tuple[pd.DataFrame, pd.DataFrame]:
+    """The crawl's two reports, (long, wide), from its long rows. The rows
+    are materialized once, so both views read the same blocks and the plan
+    behind them (fetch+decode, or the round parquet) runs once."""
+    long_ds = long_ds.materialize()
+    return long_view(long_ds), wide_view(wide_from_long(long_ds))

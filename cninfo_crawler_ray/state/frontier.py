@@ -515,17 +515,11 @@ class ShardedFrontier:
         """Round Dataset for the staged wave: one pull task per non-empty
         shard reads that shard's outbox DIRECTLY (actor RPC from inside the
         map task) — admitted rows flow shard → worker, never via the driver.
-        Non-actor (in-process) mode builds the frame driver-side, as that
-        mode exists only for unit tests."""
+        Needs actor shards (the scheduler's); in-process shards serve the
+        heap unit tests only."""
         import ray.data as rd
 
         idx = [s for s, n in enumerate(shard_counts) if n > 0]
-        if not self.use_actors:
-            frames = []
-            for s in idx:
-                cols, rows = self.shards[s].read_outbox()
-                frames.append(self._rebuild(rows, cols))
-            return rd.from_pandas(pd.concat(frames, ignore_index=True))
         return rd.from_items([{"shard_id": int(s)} for s in idx]).map_batches(
             _pull_outbox,
             fn_kwargs={"shards": self.shards, "dtypes": self.dtypes},

@@ -1,7 +1,9 @@
 """CLI smoke: the two reference entry points (crawl → CSV → collect)
 reproduce the two-step workflow (README:20-65, SURVEY.md §3.3) end-to-end
-via subprocess, each owning its own Ray session."""
+via subprocess, each owning its own Ray session. The run-once tests call the
+commands in-process, under the ``stage_rows`` tap, to count stage executions."""
 
+import argparse
 import os
 import subprocess
 import sys
@@ -202,3 +204,36 @@ def test_cli_schedule_kill_resume(tmp_path):
     assert r.returncode == 0, r.stderr[-2000:]
     wide_res = pq.read_table(os.path.join(out2, "report_wide.parquet")).to_pandas()
     pd.testing.assert_frame_equal(wide_res, wide_full)
+
+
+def _crawl_args(out: str) -> argparse.Namespace:
+    return argparse.Namespace(start_date=None, end_date=None,
+                              report_type="ndbg", n_images=800,
+                              sniff_magic=False, out=out)
+
+
+def test_cmd_crawl_runs_stage1_once(stage_rows, tmp_path):
+    """In-process ``crawl`` executes the frontier once: writing the CSV and
+    counting its rows share one view."""
+    from cninfo_crawler_ray.__main__ import _cmd_crawl
+
+    csv = str(tmp_path / "frontier.csv")
+    assert _cmd_crawl(_crawl_args(csv)) == 0
+    assert stage_rows()["stage1"] == len(pd.read_csv(csv, dtype=str)) > 0
+
+
+def test_cmd_collect_fetches_each_url_once(stage_rows, tmp_path):
+    """In-process ``collect`` fetches and decodes each CSV row once, though
+    it writes both the long and the wide report."""
+    from cninfo_crawler_ray.__main__ import _cmd_collect, _cmd_crawl
+
+    csv = str(tmp_path / "frontier.csv")
+    assert _cmd_crawl(_crawl_args(csv)) == 0
+    out = str(tmp_path / "reports")
+    assert _cmd_collect(argparse.Namespace(
+        csv_file=csv, csv_dir=".", out_dir=out, n_images=800, xlsx=False,
+        save_payloads=None, no_download=True)) == 0
+    rows = len(pd.read_csv(csv, dtype=str))
+    assert stage_rows()["fetch_decode"] == rows > 0
+    wide = pq.read_table(os.path.join(out, "report_wide.parquet"))
+    assert 0 < wide.num_rows <= rows

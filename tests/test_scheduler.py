@@ -150,12 +150,12 @@ def test_scheduled_crawl_with_robots_and_slow_host(fixture_dir):
     """E2E: robots rules drop matching URLs from the outputs; a throttled
     host only stretches the virtual schedule (results identical)."""
     base = scheduler.run_scheduled_crawl(
-        fixture_dir, wave_size=200, use_actors=False, concurrency=1
+        fixture_dir, wave_size=200, concurrency=1
     )
     hosts = sorted({u.split("/")[2] for u in base["wide"]["PDF链接"]})
     blocked = hosts[0]
     rob = scheduler.run_scheduled_crawl(
-        fixture_dir, wave_size=200, use_actors=False, concurrency=1,
+        fixture_dir, wave_size=200, concurrency=1,
         robots={blocked: ["/"]},
     )
     assert rob["counters"]["robots_denied"] > 0
@@ -166,7 +166,7 @@ def test_scheduled_crawl_with_robots_and_slow_host(fixture_dir):
     pd.testing.assert_frame_equal(rob["wide"], want)
 
     slow = scheduler.run_scheduled_crawl(
-        fixture_dir, wave_size=200, use_actors=False, concurrency=1,
+        fixture_dir, wave_size=200, concurrency=1,
         gate_overrides={hosts[1]: (5.0, 10)},  # 10-burst, 0.5/tick refill
     )
     assert slow["counters"]["politeness_wait_ticks"] > 0
@@ -179,17 +179,17 @@ def test_kill_resume_byte_identical(fixture_dir, tmp_path):
     long/wide tables are byte-identical to an uninterrupted run."""
     cfg = CrawlConfig()
     full = scheduler.run_scheduled_crawl(
-        fixture_dir, cfg, wave_size=97, use_actors=False, concurrency=1
+        fixture_dir, cfg, wave_size=97, concurrency=1
     )
     ck = str(tmp_path / "ck")
     killed = scheduler.run_scheduled_crawl(
-        fixture_dir, cfg, wave_size=97, use_actors=False, concurrency=1,
+        fixture_dir, cfg, wave_size=97, concurrency=1,
         ckpt_dir=ck, max_rounds=3
     )
     assert killed["counters"]["rounds"] == 3
     assert len(killed["long"]) < len(full["long"])  # genuinely interrupted
     resumed = scheduler.run_scheduled_crawl(
-        fixture_dir, cfg, wave_size=97, use_actors=False, concurrency=1,
+        fixture_dir, cfg, wave_size=97, concurrency=1,
         ckpt_dir=ck
     )
     assert resumed["counters"]["rounds"] > 3
@@ -209,13 +209,13 @@ def test_kill_resume_through_fsspec_storage(fixture_dir, tmp_path):
 
     cfg = CrawlConfig()
     full = scheduler.run_scheduled_crawl(
-        fixture_dir, cfg, wave_size=97, use_actors=False, concurrency=1
+        fixture_dir, cfg, wave_size=97, concurrency=1
     )
     ck_local = tmp_path / "ck_fs"
     ck = f"file://{ck_local}"
     assert isinstance(storage_for(ck), FsspecStorage)
     killed = scheduler.run_scheduled_crawl(
-        fixture_dir, cfg, wave_size=97, use_actors=False, concurrency=1,
+        fixture_dir, cfg, wave_size=97, concurrency=1,
         ckpt_dir=ck, max_rounds=3
     )
     assert killed["counters"]["rounds"] == 3
@@ -230,7 +230,7 @@ def test_kill_resume_through_fsspec_storage(fixture_dir, tmp_path):
     partial.mkdir()
     (partial / "garbage.parquet").write_bytes(b"not parquet")
     resumed = scheduler.run_scheduled_crawl(
-        fixture_dir, cfg, wave_size=97, use_actors=False, concurrency=1,
+        fixture_dir, cfg, wave_size=97, concurrency=1,
         ckpt_dir=ck
     )
     assert resumed["counters"]["rounds"] > 3
@@ -250,12 +250,12 @@ def test_stream_error_midrun_then_resume_byte_identical(fixture_dir,
 
     cfg = CrawlConfig()
     full = scheduler.run_scheduled_crawl(
-        fixture_dir, cfg, wave_size=97, use_actors=False, concurrency=1
+        fixture_dir, cfg, wave_size=97, concurrency=1
     )
     ck = str(tmp_path / "ck")
     # phase 1: clean partial run commits 2 rounds
     part = scheduler.run_scheduled_crawl(
-        fixture_dir, cfg, wave_size=97, use_actors=False, concurrency=1,
+        fixture_dir, cfg, wave_size=97, concurrency=1,
         ckpt_dir=ck, max_rounds=2
     )
     assert part["counters"]["rounds"] == 2
@@ -270,7 +270,7 @@ def test_stream_error_midrun_then_resume_byte_identical(fixture_dir,
     fcfg = CrawlConfig(fault_inject_path=marker)
     with pytest.raises(Exception, match="fault-injection"):
         scheduler.run_scheduled_crawl(
-            fixture_dir, fcfg, wave_size=97, use_actors=False, concurrency=1,
+            fixture_dir, fcfg, wave_size=97, concurrency=1,
             ckpt_dir=ck
         )
     # checkpoint integrity: no new COMMITTED round appeared during the
@@ -281,7 +281,7 @@ def test_stream_error_midrun_then_resume_byte_identical(fixture_dir,
     # phase 3: clear the fault, resume, finish — byte-identical
     os.remove(marker)
     resumed = scheduler.run_scheduled_crawl(
-        fixture_dir, cfg, wave_size=97, use_actors=False, concurrency=1,
+        fixture_dir, cfg, wave_size=97, concurrency=1,
         ckpt_dir=ck
     )
     assert resumed["counters"]["rounds"] > 2
@@ -297,7 +297,7 @@ def test_scheduled_equals_batch_pipeline(fixture_dir):
     batch = crawl.run_crawl(N)
     cfg = CrawlConfig()
     sched = scheduler.run_scheduled_crawl(
-        fixture_dir, cfg, wave_size=97, use_actors=False, concurrency=1
+        fixture_dir, cfg, wave_size=97, concurrency=1
     )
     assert sched["counters"]["rounds"] > 3
     pd.testing.assert_frame_equal(sched["long"], batch["long"])
@@ -314,11 +314,11 @@ def test_kill_between_round_commit_and_state_flush(fixture_dir, tmp_path):
 
     cfg = CrawlConfig()
     full = scheduler.run_scheduled_crawl(
-        fixture_dir, cfg, wave_size=97, use_actors=False, concurrency=1
+        fixture_dir, cfg, wave_size=97, concurrency=1
     )
     ck = str(tmp_path / "ck")
     scheduler.run_scheduled_crawl(
-        fixture_dir, cfg, wave_size=97, use_actors=False, concurrency=1,
+        fixture_dir, cfg, wave_size=97, concurrency=1,
         ckpt_dir=ck, max_rounds=3
     )
     # simulate the kill window: round 4's dir exists (committed, non-empty
@@ -328,7 +328,7 @@ def test_kill_between_round_commit_and_state_flush(fixture_dir, tmp_path):
     with open(os.path.join(stale, "part-0.parquet"), "wb") as f:
         f.write(b"stale-garbage")  # non-empty → os.replace would ENOTEMPTY
     resumed = scheduler.run_scheduled_crawl(
-        fixture_dir, cfg, wave_size=97, use_actors=False, concurrency=1,
+        fixture_dir, cfg, wave_size=97, concurrency=1,
         ckpt_dir=ck
     )
     pd.testing.assert_frame_equal(resumed["long"], full["long"])
@@ -414,21 +414,6 @@ def test_staged_outbox_idempotent_reads():
     fr.pop_admissible_staged(2, gate)
     _, rows3 = fr.shards[0].read_outbox()
     assert len(rows3) == 2  # previous round's outbox was cleared
-
-
-def test_scheduled_crawl_actor_pull_path_equals_driver_path(fixture_dir):
-    """E2E with actor shards: the wave data plane (workers pulling shard
-    outboxes via RPC) must produce byte-identical reports to the in-process
-    path, across many rounds."""
-    base = scheduler.run_scheduled_crawl(
-        fixture_dir, wave_size=97, use_actors=False, concurrency=1
-    )
-    pulled = scheduler.run_scheduled_crawl(
-        fixture_dir, wave_size=97, use_actors=True, concurrency=1
-    )
-    assert pulled["counters"]["rounds"] == base["counters"]["rounds"]
-    pd.testing.assert_frame_equal(pulled["long"], base["long"])
-    pd.testing.assert_frame_equal(pulled["wide"], base["wide"])
 
 
 # ---------------------------------------------------------------------------
@@ -524,7 +509,7 @@ def test_batch_enforce_schedule_equals_scheduler(fixture_dir):
     overrides = {host: (60.0, 40)}  # 40-burst, 6/tick refill → binds, few rounds
 
     sched = scheduler.run_scheduled_crawl(
-        fixture_dir, cfg, wave_size=10**6, use_actors=False, concurrency=1,
+        fixture_dir, cfg, wave_size=10**6, concurrency=1,
         gate_overrides=overrides,
     )
     assert sched["counters"]["politeness_wait_ticks"] > 0  # budget truly binds
@@ -551,41 +536,6 @@ def test_batch_enforce_rejects_zero_rate_host(fixture_dir):
 # each crawl stage runs once per crawl
 # ---------------------------------------------------------------------------
 
-@pytest.fixture
-def stage_rows(monkeypatch):
-    """Taps stage 1's frontier and stage 2's fetch+decode output with a
-    pass-through ``map_batches`` that adds each batch's row count to a
-    counting actor. A stage whose plan executes twice counts its rows twice.
-    → a callable returning ``{"stage1": rows, "fetch_decode": rows}``."""
-    import ray
-
-    from cninfo_crawler_ray.pipelines import stage1, stage2
-
-    @ray.remote(num_cpus=0)
-    class Counter:
-        def __init__(self):
-            self.rows = {"stage1": 0, "fetch_decode": 0}
-
-        def add(self, name, n):
-            self.rows[name] += n
-
-        def get(self):
-            return self.rows
-
-    counter = Counter.remote()
-
-    def tap(fn, name):
-        def count(batch):
-            ray.get(counter.add.remote(name, len(batch)))
-            return batch
-
-        return lambda *a, **kw: fn(*a, **kw).map_batches(count, batch_format=None)
-
-    monkeypatch.setattr(stage1, "build_frontier", tap(stage1.build_frontier, "stage1"))
-    monkeypatch.setattr(stage2, "fetch_decode", tap(stage2.fetch_decode, "fetch_decode"))
-    return lambda: ray.get(counter.get.remote())
-
-
 def test_run_crawl_fetches_each_admitted_url_once(fixture_dir, stage_rows):
     out = crawl.run_crawl(N)
     rows = stage_rows()
@@ -594,7 +544,7 @@ def test_run_crawl_fetches_each_admitted_url_once(fixture_dir, stage_rows):
 
 
 def test_scheduled_crawl_runs_stage1_once(fixture_dir, stage_rows):
-    out = scheduler.run_scheduled_crawl(fixture_dir, use_actors=True)
+    out = scheduler.run_scheduled_crawl(fixture_dir)
     rows = stage_rows()
     assert rows["stage1"] == out["counters"]["frontier_rows"] > 0
     assert rows["fetch_decode"] == out["counters"]["frontier_rows"]

@@ -146,3 +146,30 @@ def test_frontier_csv_missing_column(fixture_dir, tmp_path):
     pd.DataFrame({"股票代码": ["000001.SZ"]}).to_csv(p, index=False)
     with pytest.raises(ValueError, match="missing required"):
         stage1.read_frontier_csv(p)
+
+
+def test_build_frontier_fails_fast_when_workers_cannot_import(fixture_dir,
+                                                              tmp_path):
+    """A driver started outside the repository with the package only on its
+    own sys.path gets a clear error from stage 1 in seconds, instead of
+    stage actors that die unpickling their class and restart forever."""
+    import os
+    import subprocess
+    import sys
+
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    script = tmp_path / "driver.py"
+    script.write_text(
+        "import sys\n"
+        f"sys.path.insert(0, {repo!r})\n"
+        "import ray\n"
+        "ray.init(address='local', num_cpus=2, include_dashboard=False,\n"
+        "         logging_level='ERROR', log_to_driver=False)\n"
+        "from cninfo_crawler_ray.pipelines import stage1\n"
+        f"stage1.build_frontier({fixture_dir!r}).materialize()\n"
+    )
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    r = subprocess.run([sys.executable, str(script)], cwd=tmp_path, env=env,
+                       capture_output=True, text=True, timeout=60)
+    assert r.returncode != 0
+    assert "Ray workers cannot import cninfo_crawler_ray" in r.stderr

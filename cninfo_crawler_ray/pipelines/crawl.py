@@ -35,14 +35,12 @@ def _grant_schedule(host_counts: dict[str, int], gate) -> int:
             if remaining[h] == 0:
                 del remaining[h]
         if remaining:
-            waits = [gate.wait_ticks_for(h, 1) for h in remaining]
-            waits = [w for w in waits if w >= 0]
-            if not waits:
+            adv = gate.soonest_refill(remaining)
+            if adv is None:
                 raise ValueError(
                     "zero-refill host(s) with exhausted budget can never drain "
                     "on the batch path: %s — use the scheduler path, which "
                     "dead-letters them" % sorted(remaining))
-            adv = max(1, min(waits))
             gate.advance(adv)
             wait_ticks += adv
     return wait_ticks

@@ -5,7 +5,9 @@ This is the streaming-shaped execution of the flagship crawl (SURVEY.md
 §7.6): instead of handing the whole frontier to one Dataset pipeline
 (``pipelines/crawl.run_crawl`` — the batch path), the scheduler drains the
 **priority min-heap frontier shards** (state/frontier.py) one admissible
-wave at a time:
+wave at a time. Seeding runs in map tasks: each admits its batch against
+the seen-set shards and pushes the admitted rows to the heap shards with
+``push_rows``, the frontier's one push routing. Then each
 
     round:  frontier.pop_admissible_staged(wave, politeness_gate)
               (control plane: shards ship ONLY compact candidate keys —
@@ -18,10 +20,11 @@ wave at a time:
               never transit the driver) → fetch+decode (fused actor pool)
             → workers write the round's long rows as parquet
     until the frontier is empty. When a whole wave is denied, the virtual
-    clock advances by exactly the soonest host refill (never tick-by-tick
-    spinning), so the admission schedule is a pure function of (frontier
-    contents, budget) — never wall clock — and the loop is bounded even
-    with pathological host budgets (ADVICE r01).
+    clock advances by exactly the soonest host refill
+    (``PolitenessGate.soonest_refill``, the batch path's rule too; never
+    tick-by-tick spinning), so the admission schedule is a pure function
+    of (frontier contents, budget) — never wall clock — and the loop is
+    bounded even with pathological host budgets (ADVICE r01).
 
 Determinism: wave composition orders by (priority desc, order_key asc) and
 the final outputs sort by canonical order, so the long/wide tables are
@@ -41,15 +44,14 @@ from __future__ import annotations
 import pickle
 import shutil
 
-import numpy as np
 import pandas as pd
 
 import ray.data as rd
 
 from ..config import CrawlConfig
-from ..state.frontier import ShardedFrontier
+from ..state.frontier import ShardedFrontier, push_rows
 from ..state.politeness import PolitenessGate
-from ..state.seen import ShardedSeenSet, admit, shard_of
+from ..state.seen import ShardedSeenSet, admit
 from . import stage1, stage2
 
 #: hard bound on consecutive fully-denied waves. With min-refill clock
@@ -65,9 +67,10 @@ def _ckpt_paths(st, ckpt_dir: str) -> tuple[str, str]:
 class _SeedBatch:
     """Worker-side frontier seeding (scale path): each map task routes its
     batch's keys to the seen-set shards (exact admission RPC) and pushes the
-    admitted rows straight into the frontier heap shards — the frontier
-    never materializes on the driver. Heap pop order keys on the unique
-    (priority, order_key), so which worker pushed a row never matters."""
+    admitted rows straight into the frontier heap shards (``push_rows``, the
+    facade's own routing) — the frontier never materializes on the driver.
+    Heap pop order keys on the unique (priority, order_key), so which worker
+    pushed a row never matters."""
 
     def __init__(self, seen_shards, frontier_shards, columns: list[str],
                  dtypes: list[str]):
@@ -77,21 +80,13 @@ class _SeedBatch:
         self.dtypes = dtypes
 
     def __call__(self, df: pd.DataFrame) -> pd.DataFrame:
-        import ray
-
         if len(df) == 0:
             return pd.DataFrame({"admitted": pd.Series([], dtype="int64"),
                                  "total": pd.Series([], dtype="int64")})
         df = df[self.columns]  # canonical column order for heap row layout
         raw = bytes.fromhex("".join(df["url_sha1"]))
-        is_new = admit(self.seen_shards, raw, df["order_key"].to_numpy())
-        adm = df[is_new]
-        rows = adm.values.tolist()
-        fshard = shard_of(raw, len(self.frontier_shards))[is_new]
-        ray.get([self.frontier_shards[s].push.remote(
-                     self.columns, [rows[i] for i in np.flatnonzero(fshard == s)],
-                     self.dtypes)
-                 for s in np.unique(fshard)])
+        adm = df[admit(self.seen_shards, raw, df["order_key"].to_numpy())]
+        push_rows(self.frontier_shards, adm, self.dtypes)
         return pd.DataFrame({"admitted": [len(adm)], "total": [len(df)]})
 
 
@@ -225,11 +220,9 @@ def run_scheduled_crawl(
                     "frontier stalled: >%d consecutive fully-denied waves "
                     "(hosts: %s)" % (MAX_CONSECUTIVE_EMPTY_WAVES, fr.last_denied_hosts))
             # advance the virtual clock by exactly the soonest refill among
-            # the denied hosts (zero-rate hosts were dead-lettered above, so
-            # a positive finite wait always exists while rows remain)
-            waits = [gate.wait_ticks_for(h, 1) for h in fr.last_denied_hosts]
-            waits = [w for w in waits if w >= 0]
-            adv = max(1, min(waits)) if waits else 1
+            # the denied hosts (zero-rate hosts were dead-lettered above; a
+            # wave lost wholly to robots has no denied host: one tick)
+            adv = gate.soonest_refill(fr.last_denied_hosts) or 1
             gate.advance(adv)
             counters["politeness_wait_ticks"] += adv
             continue

@@ -24,6 +24,7 @@ Crawl order is pinned by ``order_key`` stamped at admission (SURVEY.md
 from __future__ import annotations
 
 import json
+import math
 import os
 from datetime import date
 
@@ -206,10 +207,18 @@ def build_frontier(
     # pools): a (1, 8) pool spends the head of a short stage autoscaling up
     # one actor at a time; floors reserve little (0.5 CPU per actor) and
     # skip the ramp. Caps stay modest — listing parallelism is bounded by
-    # the (exchange, date) stream count anyway.
+    # the (exchange, date) stream count anyway. The listing and probe pools
+    # hold their floors for the whole stage, so together they must leave a
+    # CPU for the read and candidate tasks, or stage 1 never progresses.
     _ncpu = (int(ray.cluster_resources().get("CPU", 8))
              if ray.is_initialized() else 8)
-    pool = concurrency or (max(2, _ncpu // 8), max(8, _ncpu // 4))
+    fit = int((_ncpu - 1) // (2 * cfg.actor_num_cpus))
+    if fit < 1:
+        raise RuntimeError(
+            "stage 1 needs at least %d CPUs (two actor pools at %s CPU per "
+            "actor plus one CPU for tasks); the cluster has %d"
+            % (math.ceil(2 * cfg.actor_num_cpus + 1), cfg.actor_num_cpus, _ncpu))
+    pool = concurrency or (min(max(2, _ncpu // 8), fit), max(8, _ncpu // 4))
     anns = seeds.map_batches(
         ListingEnumerator,
         fn_constructor_args=(ann_path, cfg),

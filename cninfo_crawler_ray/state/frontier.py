@@ -18,17 +18,23 @@ Design:
   never decides between two live rows in practice; it exists so the heap
   never falls through to comparing raw row payloads (which raises TypeError
   on None-containing or cross-dtype cells),
-- batch API throughout (push/pop whole waves, not URLs),
-- global pop = per-shard pop(k) → driver k-way merge → push the remainder
-  back (the remainder churn is bounded by k × num_shards),
+- batch API throughout (push/pop whole waves, not URLs); ``push_rows`` is
+  the one push routing, used by the driver facade and by the scheduler's
+  seeding workers alike,
+- one staged pop-and-admit path (``pop_admissible_staged``): each shard
+  stages its local top-k and ships only compact keys; the driver merges
+  them, applies robots and the politeness budget, and sends back per-shard
+  verdicts — admitted rows wait in shard outboxes for the fetch workers,
+  the merge's losers and budget-denied rows go back on their heap in place,
 - pandas round-trips preserve dtypes: the shard records the pushed frame's
   dtype map and every rebuilt frame is cast back to it (``df.values`` alone
   re-infers dtypes and e.g. widens int32 partition ids),
 - snapshot/restore per shard for checkpointed resume.
 
-``FrontierShard`` is a plain class (unit-testable standalone) wrapped by
-``ray.remote`` in the ``ShardedFrontier`` facade, mirroring
-``state/seen.py``.
+``FrontierShard`` is a plain class wrapped by ``ray.remote`` in the
+``ShardedFrontier`` facade, mirroring ``state/seen.py``;
+``ShardedFrontier(use_actors=False)`` keeps the shards in-process, the
+unit tests' seam.
 """
 
 from __future__ import annotations
@@ -156,46 +162,32 @@ class FrontierShard:
                 and len(self.heap) > max(self.spill_threshold, 2 * k)):
             self._spill_down(max(k, self.spill_threshold // 2))
 
-    def pop_top(self, k: int) -> tuple[list[str], list[list]]:
-        self._ensure_top(k)
-        out = []
-        for _ in range(min(k, len(self.heap))):
-            out.append(heapq.heappop(self.heap)[3])
-        self._rebound(k)
-        return (self.columns or [], out)
-
     # -- staged admission (pull path) ---------------------------------------
     # Control plane / data plane split (VERDICT r02 §3): the driver's global
     # merge + politeness decision sees ONLY these compact key columns; the
     # full row payloads never leave the shard until a fetch worker pulls the
     # admitted outbox directly (ShardedFrontier.wave_dataset).
 
-    def stage_top(self, k: int, url_col: str = "PDF链接") -> dict:
+    def stage_top(self, k: int) -> dict:
         """Pop the local top-k into staging; return compact admission keys
         (priority, order_key, host, robots path) for the driver merge.
-        ``path`` is None when the frame has no URL column (mirrors
-        pop_admissible skipping the robots check in that case). Clears the
-        previous round's outbox — by the time a new round is staged, the
-        prior round's rows are durably written (scheduler commits the round
-        parquet before looping), and keeping the outbox readable until then
-        makes worker pulls idempotent under task retries."""
+        Clears the previous round's outbox — by the time a new round is
+        staged, the prior round's rows are durably written (scheduler
+        commits the round parquet before looping), and keeping the outbox
+        readable until then makes worker pulls idempotent under task
+        retries."""
         self._outbox = []
         self._ensure_top(k)
         self._staged = [heapq.heappop(self.heap)
                         for _ in range(min(k, len(self.heap)))]
         self._rebound(k)
-        cols = self.columns or []
-        ci = {c: i for i, c in enumerate(cols)}
+        ci = {c: i for i, c in enumerate(self.columns or [])}
         rows = [e[3] for e in self._staged]
-        hi = ci.get("host")
-        ui = ci.get(url_col)
         return {
-            "priority": [r[ci["priority"]] for r in rows] if rows else [],
-            "order_key": [r[ci["order_key"]] for r in rows] if rows else [],
-            "host": ([r[hi] for r in rows] if hi is not None
-                     else [""] * len(rows)),
-            "path": ([_path_of(r[ui]) for r in rows] if ui is not None
-                     else None),
+            "priority": [r[ci["priority"]] for r in rows],
+            "order_key": [r[ci["order_key"]] for r in rows],
+            "host": [r[ci["host"]] for r in rows],
+            "path": [_path_of(r[ci["PDF链接"]]) for r in rows],
         }
 
     def resolve(self, admit_idx: list[int], requeue_idx: list[int],
@@ -269,8 +261,24 @@ def _path_of(url) -> str:
     return rest[j:] if j >= 0 else "/"
 
 
-def _url_paths(urls: pd.Series) -> list[str]:
-    return [_path_of(u) for u in urls]
+def push_rows(shards, df: pd.DataFrame, dtypes: list[str] | None) -> None:
+    """The one heap-push routing: each row goes to the shard ``shard_of``
+    gives its ``url_sha1`` (the seen-set's hash ranges), and every touched
+    shard gets one ``push`` with its rows in frame order. ``shards`` are
+    FrontierShard actor handles, or in-process FrontierShards in unit
+    tests."""
+    cols = list(df.columns)
+    rows = df.values.tolist()
+    shard = shard_of(bytes.fromhex("".join(df["url_sha1"])), len(shards))
+    batches = [(shards[s], [rows[i] for i in np.flatnonzero(shard == s)])
+               for s in np.unique(shard)]
+    if batches and isinstance(batches[0][0], FrontierShard):
+        for sh, part in batches:
+            sh.push(cols, part, dtypes)
+        return
+    import ray
+
+    ray.get([sh.push.remote(cols, part, dtypes) for sh, part in batches])
 
 
 def _pull_outbox(df: pd.DataFrame, *, shards, dtypes) -> pd.DataFrame:
@@ -311,22 +319,12 @@ class ShardedFrontier:
                            for i in range(num_shards)]
         self.columns: list[str] | None = None
         self.dtypes: list[str] | None = None
-        #: robots-disallowed and never-grantable rows removed by
-        #: pop_admissible — kept for lineage/metrics, never re-fetched.
-        self.dead_letters: list[pd.DataFrame] = []
-        #: hosts denied a grant in the most recent pop_admissible wave —
+        #: hosts denied a grant in the most recent staged wave —
         #: the scheduler uses them to advance the virtual clock by exactly
         #: the soonest refill instead of spinning tick-by-tick.
         self.last_denied_hosts: list[str] = []
 
     # -- internals ---------------------------------------------------------
-
-    def _call(self, shard, method: str, *args):
-        if self.use_actors:
-            import ray
-
-            return ray.get(getattr(shard, method).remote(*args))
-        return getattr(shard, method)(*args)
 
     def _calls(self, method: str, args_per_shard: list[tuple]):
         if self.use_actors:
@@ -347,142 +345,73 @@ class ShardedFrontier:
 
     # -- API ---------------------------------------------------------------
 
-    def push_pandas(self, df: pd.DataFrame) -> int:
-        """Push frontier rows (must include priority, order_key, url_sha1)."""
+    def push_pandas(self, df: pd.DataFrame) -> None:
+        """Push frontier rows (must include priority, order_key, url_sha1,
+        host and PDF链接)."""
         if len(df) == 0:
-            return self.total()
+            return
         self.columns = list(df.columns)
         if self.dtypes is None:
             self.dtypes = [str(t) for t in df.dtypes]
-        rows = df.values.tolist()
-        shard = shard_of(bytes.fromhex("".join(df["url_sha1"])), self.num_shards)
-        args = [(self.columns, [rows[i] for i in np.flatnonzero(shard == s)],
-                 self.dtypes)
-                for s in range(self.num_shards)]
-        self._calls("push", args)
-        return self.total()
+        push_rows(self.shards, df, self.dtypes)
 
     def total(self) -> int:
         return sum(self._calls("size", [() for _ in self.shards]))
 
-    def pop_top(self, k: int) -> pd.DataFrame:
-        """Globally best k entries by (priority desc, order_key asc) —
-        removes them from the shards; the non-selected remainder of each
-        shard's local top-k is pushed back."""
-        results = self._calls("pop_top", [(k,) for _ in self.shards])
-        merged: list[tuple] = []
-        cols = self.columns
-        for shard_cols, rows in results:
-            cols = cols or shard_cols
-            pi = shard_cols.index("priority") if shard_cols else 0
-            oi = shard_cols.index("order_key") if shard_cols else 0
-            for r in rows:
-                # len(merged) = arrival index: final tiebreaker so sort never
-                # falls through to comparing raw row lists
-                merged.append((-r[pi], r[oi], len(merged), r))
-        merged.sort()
-        take = [t[3] for t in merged[:k]]
-        rest = [t[3] for t in merged[k:]]
-        if rest and cols:
-            self.push_pandas(self._rebuild(rest, cols))
-        return self._rebuild(take, cols)
+    def pop_admissible_staged(self, k: int, gate) -> dict:
+        """Globally best k entries by (priority desc, order_key asc),
+        filtered by robots rules then the politeness budget, with the data
+        plane left on the shards (VERDICT r02 §3): shards stage their local
+        top-k and ship ONLY compact key columns (priority, order_key, host,
+        url path) for the driver's global merge + robots + politeness
+        decision; per-shard verdict lists go back; the admitted full rows
+        wait in shard outboxes for fetch workers to pull (``wave_dataset``).
+        Driver memory per round is O(wave keys), never O(wave rows).
 
-    def pop_admissible(self, k: int, gate, url_col: str = "PDF链接") -> pd.DataFrame:
-        """Top-k wave filtered by robots rules then the politeness budget.
-
-        - robots-disallowed rows (gate.allowed) are DEAD-LETTERED: recorded
-          on ``self.dead_letters``, never fetched, never requeued;
+        - the merge's losers (beyond the global top-k) go back on their heap;
+        - robots-disallowed rows (gate.allowed) are dead-lettered shard-side:
+          never fetched, never requeued;
         - budget-denied rows whose host can never be granted (zero refill
           rate with an exhausted bucket) are dead-lettered too — requeueing
           them would spin the scheduler forever (ADVICE r01);
-        - other budget-denied rows go back on the heap (they stay
+        - other budget-denied rows go back on the heap in place (they stay
           top-priority and win a later round once the host budget refills)
           and their hosts are exposed via ``last_denied_hosts`` so the
           caller can advance the virtual clock by exactly the soonest
-          refill. Grants consume the gate's virtual-tick budget, so
-          admission order is deterministic (SURVEY.md §7)."""
-        wave = self.pop_top(k)
-        self.last_denied_hosts = []
-        if len(wave) == 0:
-            return wave
-        if url_col in wave.columns:
-            keep = []
-            for host, grp in wave.groupby("host", sort=False):
-                ok = gate.allowed(host, _url_paths(grp[url_col]))
-                keep.append(pd.Series(ok, index=grp.index))
-            allowed = pd.concat(keep).reindex(wave.index)
-            if not allowed.all():
-                self.dead_letters.append(wave[~allowed].assign(_dead_reason="robots"))
-                wave = wave[allowed].reset_index(drop=True)
-                if len(wave) == 0:
-                    return wave
-        granted = gate.acquire_batch(list(wave["host"]), [1] * len(wave))
-        ok = [g == 1 for g in granted]
-        denied = wave[[not o for o in ok]]
-        if len(denied):
-            waits = {h: gate.wait_ticks_for(h, 1) for h in denied["host"].unique()}
-            hopeless = denied["host"].map(lambda h: waits[h] < 0)
-            if hopeless.any():
-                self.dead_letters.append(
-                    denied[hopeless].assign(_dead_reason="zero_rate_host"))
-            requeue = denied[~hopeless]
-            if len(requeue):
-                self.push_pandas(requeue.drop(columns=[], errors="ignore"))
-                self.last_denied_hosts = sorted(requeue["host"].unique())
-        return wave[ok].reset_index(drop=True)
+          refill. Grants consume the gate's virtual-tick budget in global
+          merge order, so admission is deterministic (SURVEY.md §7).
 
-    def pop_admissible_staged(self, k: int, gate,
-                              url_col: str = "PDF链接") -> dict:
-        """pop_admissible with the data plane left on the shards (VERDICT r02
-        §3): shards stage their local top-k and ship ONLY compact key columns
-        (priority, order_key, host, url path) for the driver's global merge +
-        robots + politeness decision; per-shard verdict lists go back; the
-        admitted full rows wait in shard outboxes for fetch workers to pull
-        (``wave_dataset``). Driver memory per round is O(wave keys) — four
-        scalars/short strings per candidate — never O(wave rows), and denied
-        rows are re-heaped in place with zero driver round-trip.
-
-        Semantics are identical to ``pop_admissible`` (same merge order, same
-        robots dead-lettering, same grant order, same hopeless-host rule);
-        asserted byte-identical in tests/test_scheduler.py."""
+        Returns per-shard admitted counts and per-reason dead counts."""
         self.last_denied_hosts = []
-        staged = self._calls("stage_top", [(k, url_col) for _ in self.shards])
+        staged = self._calls("stage_top", [(k,) for _ in self.shards])
         # merged candidate keys: (-priority, order_key, arrival, shard, local)
         recs: list[tuple] = []
         hosts: list[str] = []
-        paths: list[str | None] = []
+        paths: list[str] = []
         for s, st in enumerate(staged):
-            pr, ok_, ho = st["priority"], st["order_key"], st["host"]
-            pa = st["path"]
-            for j in range(len(pr)):
-                recs.append((-pr[j], ok_[j], len(recs), s, j))
-                hosts.append(ho[j])
-                paths.append(pa[j] if pa is not None else None)
+            for j, (pr, ok_) in enumerate(zip(st["priority"], st["order_key"])):
+                recs.append((-pr, ok_, len(recs), s, j))
+            hosts += st["host"]
+            paths += st["path"]
         recs.sort()
         requeue: dict[int, list[int]] = {s: [] for s in range(self.num_shards)}
         admit: dict[int, list[int]] = {s: [] for s in range(self.num_shards)}
         dead: dict[int, list[tuple[int, str]]] = {s: [] for s in range(self.num_shards)}
         for r in recs[k:]:
             requeue[r[3]].append(r[4])
-        take = recs[:k]
-        # robots (skipped for frames without a URL column, like pop_admissible)
-        live: list[tuple] = []
         by_host: dict[str, list[tuple]] = {}
-        for r in take:
-            if paths[r[2]] is None:
-                live.append(r)
-            else:
-                by_host.setdefault(hosts[r[2]], []).append(r)
-        robots_live: list[tuple] = []
+        for r in recs[:k]:
+            by_host.setdefault(hosts[r[2]], []).append(r)
+        live: list[tuple] = []
         for host, grp in by_host.items():
             ok = gate.allowed(host, [paths[r[2]] for r in grp])
             for r, o in zip(grp, ok):
                 if o:
-                    robots_live.append(r)
+                    live.append(r)
                 else:
                     dead[r[3]].append((r[4], "robots"))
         # restore global merge order for the grant sequence
-        live = sorted(live + robots_live, key=lambda r: (r[0], r[1]))
+        live.sort()
         granted = gate.acquire_batch([hosts[r[2]] for r in live],
                                      [1] * len(live))
         denied = [r for r, g in zip(live, granted) if g != 1]
@@ -543,8 +472,7 @@ class ShardedFrontier:
 
     def restore(self, blobs: list[bytes]) -> None:
         self._calls("restore", [(b,) for b in blobs])
-        for s in range(self.num_shards):
-            cols, dtypes = self._call(self.shards[s], "meta")
+        for cols, dtypes in self._calls("meta", [() for _ in self.shards]):
             if cols:
                 self.columns = cols
                 if dtypes:

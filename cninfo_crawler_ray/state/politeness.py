@@ -181,3 +181,12 @@ class PolitenessGate:
             return -1
         need = n - tokens
         return int(-(-need // b.rate_per_tick))  # ceil
+
+    def soonest_refill(self, hosts) -> int | None:
+        """Ticks to advance the virtual clock so the first of ``hosts`` can
+        be granted one request: the smallest non-negative
+        ``wait_ticks_for(host, 1)``, at least 1 — the one clock-advance rule
+        of the scheduler's empty waves and the batch path's grant replay.
+        None when no host ever refills (zero rate, exhausted bucket)."""
+        waits = [w for w in (self.wait_ticks_for(h, 1) for h in hosts) if w >= 0]
+        return max(1, min(waits)) if waits else None

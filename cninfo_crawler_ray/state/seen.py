@@ -60,7 +60,7 @@ def admit(shards, raw: bytes, seqs=None) -> np.ndarray:
 
 class CuckooFilter:
     """Minimal bucketed cuckoo filter (4-slot buckets, 1-byte fingerprints,
-    partial-key eviction). Supports add/contains/remove; ~2-3% false-positive
+    partial-key eviction). Supports add/may_contain/remove; ~2-3% false-positive
     rate at default load, which is fine because an exact set sits behind it."""
 
     MAX_KICKS = 500
@@ -79,7 +79,7 @@ class CuckooFilter:
         i2 = (i1 ^ fph) % self.nbuckets
         return fp, i1, i2
 
-    def contains(self, key: bytes) -> bool:
+    def may_contain(self, key: bytes) -> bool:
         fp, i1, i2 = self._fp_and_buckets(key)
         return fp in self.buckets[i1] or fp in self.buckets[i2]
 
@@ -132,7 +132,7 @@ class SeenShard:
         short-circuits definite-new keys; the exact set decides the rest."""
         out = []
         for i, k in enumerate(keys):
-            if self.overflowed or self.filter.contains(k):
+            if self.overflowed or self.filter.may_contain(k):
                 new = k not in self.exact  # maybe-seen → exact check
             else:
                 new = True
@@ -144,11 +144,6 @@ class SeenShard:
             if seqs is not None and seqs[i] > self.high_water_seq:
                 self.high_water_seq = seqs[i]
         return out
-
-    def contains(self, keys: list[bytes]) -> list[bool]:
-        if self.overflowed:
-            return [k in self.exact for k in keys]
-        return [self.filter.contains(k) and k in self.exact for k in keys]
 
     def discard(self, keys: list[bytes]) -> None:
         """Retract admissions (stream-close rollback); cuckoo remove keeps the

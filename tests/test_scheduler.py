@@ -10,7 +10,7 @@ import pytest
 from cninfo_crawler_ray.config import CrawlConfig
 from cninfo_crawler_ray.pipelines import crawl, scheduler
 from cninfo_crawler_ray.sources import corpus as C
-from cninfo_crawler_ray.state.frontier import FrontierShard, ShardedFrontier
+from cninfo_crawler_ray.state.frontier import ShardedFrontier
 from cninfo_crawler_ray.state.politeness import PolitenessGate
 
 N = 800
@@ -35,23 +35,46 @@ def _mini_df(n=20, hosts=2):
     )
 
 
+def _staged_wave(fr, k, gate):
+    """Run the staged control plane and collect the admitted wave from the
+    shard outboxes (driver-side; non-actor mode), shard by shard: each
+    shard's rows are in global merge order."""
+    verdict = fr.pop_admissible_staged(k, gate)
+    frames = []
+    for s, n in enumerate(verdict["admitted"]):
+        if n:
+            cols, rows = fr.shards[s].read_outbox()
+            frames.append(fr._rebuild(rows, cols))
+    wave = (pd.concat(frames, ignore_index=True) if frames
+            else pd.DataFrame())
+    return wave, verdict
+
+
+def _open_gate():
+    """A budget that never binds, for tests where only pop order matters."""
+    return PolitenessGate(burst=10**9)
+
+
+def _merge_order(df):
+    return df.sort_values(["priority", "order_key"], ascending=[False, True])
+
+
 def test_shard_pops_priority_then_order():
-    sh = FrontierShard()
+    fr = ShardedFrontier(1, use_actors=False)
     df = _mini_df(30)
-    sh.push(list(df.columns), df.values.tolist())
-    cols, rows = sh.pop_top(30)
-    got = pd.DataFrame(rows, columns=cols)
-    want = df.sort_values(["priority", "order_key"], ascending=[False, True])
-    assert list(got["order_key"]) == list(want["order_key"])
+    fr.push_pandas(df)
+    got, _ = _staged_wave(fr, 30, _open_gate())
+    assert list(got["order_key"]) == list(_merge_order(df)["order_key"])
 
 
 def test_sharded_pop_is_global_topk():
     fr = ShardedFrontier(4, use_actors=False)
     df = _mini_df(50)
     fr.push_pandas(df)
-    top = fr.pop_top(10)
-    want = df.sort_values(["priority", "order_key"], ascending=[False, True]).head(10)
-    assert list(top["order_key"]) == list(want["order_key"])
+    top, verdict = _staged_wave(fr, 10, _open_gate())
+    assert sum(n > 0 for n in verdict["admitted"]) > 1  # merged across shards
+    want = _merge_order(df).head(10)
+    assert list(_merge_order(top)["order_key"]) == list(want["order_key"])
     assert fr.total() == 40  # remainder went back
 
 
@@ -62,8 +85,8 @@ def test_snapshot_restore_roundtrip():
     blobs = fr.snapshot()
     fr2 = ShardedFrontier(2, use_actors=False)
     fr2.restore(blobs)
-    a = fr.pop_top(12).reset_index(drop=True)
-    b = fr2.pop_top(12).reset_index(drop=True)
+    a, _ = _staged_wave(fr, 12, _open_gate())
+    b, _ = _staged_wave(fr2, 12, _open_gate())
     pd.testing.assert_frame_equal(a, b)
 
 
@@ -72,15 +95,16 @@ def test_pop_admissible_respects_budget_and_returns_denied():
     df = _mini_df(20, hosts=1)  # single host: budget binds
     fr.push_pandas(df)
     gate = PolitenessGate(rate_per_second=10.0, burst=5, ticks_per_second=10)
-    wave = fr.pop_admissible(20, gate)
-    assert len(wave) == 5  # burst only
+    wave, verdict = _staged_wave(fr, 20, gate)
+    assert len(wave) == sum(verdict["admitted"]) == 5  # burst only
     assert fr.total() == 15  # denied back on the heap
+    assert fr.last_denied_hosts == ["h0.x"]
     # highest-priority rows won the grants
-    want = df.sort_values(["priority", "order_key"], ascending=[False, True]).head(5)
-    assert list(wave["order_key"]) == list(want["order_key"])
+    want = _merge_order(df).head(5)
+    assert list(_merge_order(wave)["order_key"]) == list(want["order_key"])
     # advance the clock → budget refills → next wave succeeds
     gate.advance(10)
-    wave2 = fr.pop_admissible(20, gate)
+    wave2, _ = _staged_wave(fr, 20, gate)
     assert len(wave2) > 0
 
 
@@ -88,11 +112,12 @@ def test_heap_never_compares_row_payloads():
     """Equal (priority, order_key) entries with None-containing payloads must
     not raise TypeError — the monotonic insertion counter breaks the tie
     before the heap reaches the row lists (ADVICE r01)."""
-    sh = FrontierShard()
-    cols = ["priority", "order_key", "url_sha1", "extra"]
-    sh.push(cols, [[1.0, 7, "aa" + "0" * 38, None], [1.0, 7, "bb" + "0" * 38, {"d": 1}]])
-    _, rows = sh.pop_top(2)
-    assert len(rows) == 2
+    fr = ShardedFrontier(1, use_actors=False)
+    cols = ["PDF链接", "host", "priority", "order_key", "url_sha1", "extra"]
+    fr.shards[0].push(cols, [["https://h.x/a", "h.x", 1.0, 7, "aa" + "0" * 38, None],
+                             ["https://h.x/b", "h.x", 1.0, 7, "bb" + "0" * 38, {"d": 1}]])
+    wave, verdict = _staged_wave(fr, 2, _open_gate())
+    assert verdict["admitted"] == [2] and len(wave) == 2
 
 
 def test_pop_roundtrip_preserves_dtypes():
@@ -102,14 +127,15 @@ def test_pop_roundtrip_preserves_dtypes():
         flag=np.array([0, 1] * 4, dtype=np.int64),
     )
     fr.push_pandas(df)
-    out = fr.pop_top(8)
+    out, _ = _staged_wave(fr, 8, _open_gate())
     assert str(out["partition_id"].dtype) == "int32"
     assert str(out["priority"].dtype) == "float64"
     # snapshot/restore keeps the dtype map too
     fr.push_pandas(df)
     fr2 = ShardedFrontier(2, use_actors=False)
     fr2.restore(fr.snapshot())
-    assert str(fr2.pop_top(8)["partition_id"].dtype) == "int32"
+    out2, _ = _staged_wave(fr2, 8, _open_gate())
+    assert str(out2["partition_id"].dtype) == "int32"
 
 
 def test_pop_admissible_robots_dead_letter():
@@ -121,11 +147,12 @@ def test_pop_admissible_robots_dead_letter():
     fr.push_pandas(df)
     gate = PolitenessGate(rate_per_second=100.0, burst=100)
     gate.set_robots("h0.x", ["/img_"])  # everything on h0 disallowed
-    wave = fr.pop_admissible(10, gate)
+    wave, verdict = _staged_wave(fr, 10, gate)
     assert set(wave["host"]) == {"h1.x"}
     assert len(wave) == 5
     assert fr.total() == 0  # h0 rows did NOT go back on the heap
-    dead = pd.concat(fr.dead_letters)
+    assert verdict["dead"] == {"robots": 5}
+    dead = fr.dead_letter_rows()
     assert len(dead) == 5 and set(dead["host"]) == {"h0.x"}
     assert (dead["_dead_reason"] == "robots").all()
 
@@ -139,10 +166,12 @@ def test_pop_admissible_zero_rate_host_dead_letters():
     fr.push_pandas(df)
     gate = PolitenessGate(rate_per_second=100.0, burst=100)
     gate.set_host_rate("h0.x", 0.0, 4)  # 4 grants then never again
-    wave = fr.pop_admissible(10, gate)
+    wave, verdict = _staged_wave(fr, 10, gate)
     assert len(wave) == 4
     assert fr.total() == 0
-    dead = pd.concat(fr.dead_letters)
+    assert fr.last_denied_hosts == []  # nothing requeued: no clock hint
+    assert verdict["dead"] == {"zero_rate_host": 6}
+    dead = fr.dead_letter_rows()
     assert len(dead) == 6 and (dead["_dead_reason"] == "zero_rate_host").all()
 
 
@@ -340,64 +369,43 @@ def test_kill_between_round_commit_and_state_flush(fixture_dir, tmp_path):
 # staged admission (pull path, VERDICT r02 §3)
 # ---------------------------------------------------------------------------
 
-def _staged_wave(fr, k, gate):
-    """Run the staged control plane and collect the admitted wave from the
-    shard outboxes (driver-side; non-actor mode)."""
-    verdict = fr.pop_admissible_staged(k, gate)
-    frames = []
-    for s, n in enumerate(verdict["admitted"]):
-        if n:
-            cols, rows = fr.shards[s].read_outbox()
-            frames.append(fr._rebuild(rows, cols))
-    wave = (pd.concat(frames, ignore_index=True) if frames
-            else pd.DataFrame())
-    return wave, verdict
+def test_staged_budget_robots_zero_rate():
+    """One staged wave under a binding budget, robots rules and a zero-rate
+    host at once: every row's fate follows from its host and its rank on
+    that host in global merge order (priority desc, order_key asc)."""
+    df = _mini_df(30, hosts=3)  # h0/h1/h2, 10 rows each
+    gate = PolitenessGate(rate_per_second=10.0, burst=4, ticks_per_second=10)
+    gate.set_robots("h1.x", ["/img_"])      # h1 fully robots-blocked
+    gate.set_host_rate("h2.x", 0.0, 3)      # 3 grants then never again
+    fr = ShardedFrontier(2, use_actors=False)
+    fr.push_pandas(df)
 
+    ranked = _merge_order(df)
+    rank = ranked.groupby("host").cumcount()
+    h0, h1, h2 = (ranked["host"] == h for h in ("h0.x", "h1.x", "h2.x"))
 
-def test_staged_matches_pop_admissible_budget_robots_zero_rate():
-    """The staged (pull) admission must make byte-identical decisions to
-    pop_admissible under a binding budget, robots rules and a zero-rate
-    host simultaneously — same admitted rows, same requeues, same dead
-    letters, same denied-host clock hints."""
-    df = _mini_df(30, hosts=3)  # h0/h1/h2
+    def keys(mask):
+        return list(ranked.loc[mask, "order_key"])
 
-    def gate_factory():
-        g = PolitenessGate(rate_per_second=10.0, burst=4, ticks_per_second=10)
-        g.set_robots("h1.x", ["/img_"])      # h1 fully robots-blocked
-        g.set_host_rate("h2.x", 0.0, 3)      # 3 grants then never again
-        return g
-
-    fr_old = ShardedFrontier(2, use_actors=False)
-    fr_old.push_pandas(df)
-    g_old = gate_factory()
-    wave_old = fr_old.pop_admissible(30, g_old)
-
-    fr_new = ShardedFrontier(2, use_actors=False)
-    fr_new.push_pandas(df)
-    g_new = gate_factory()
-    wave_new, verdict = _staged_wave(fr_new, 30, g_new)
-
-    key = ["priority", "order_key"]
-    a = wave_old.sort_values(key).reset_index(drop=True)
-    b = wave_new[wave_old.columns].sort_values(key).reset_index(drop=True)
-    pd.testing.assert_frame_equal(a, b)
-    assert fr_old.total() == fr_new.total()           # identical requeues
-    assert fr_old.last_denied_hosts == fr_new.last_denied_hosts
-    dead_old = pd.concat(fr_old.dead_letters)
-    dead_new = fr_new.dead_letter_rows()
-    assert len(dead_old) == len(dead_new) == sum(verdict["dead"].values())
-    for reason in ("robots", "zero_rate_host"):
-        old_r = dead_old[dead_old["_dead_reason"] == reason]
-        new_r = dead_new[dead_new["_dead_reason"] == reason]
-        assert sorted(old_r["order_key"]) == sorted(new_r["order_key"])
-    # gates advanced identically → later waves stay in lockstep
-    g_old.advance(10)
-    g_new.advance(10)
-    w2_old = fr_old.pop_admissible(30, g_old)
-    w2_new, _ = _staged_wave(fr_new, 30, g_new)
+    wave, verdict = _staged_wave(fr, 30, gate)
+    want = ranked[(h0 & (rank < 4)) | (h2 & (rank < 3))]
     pd.testing.assert_frame_equal(
-        w2_old.sort_values(key).reset_index(drop=True),
-        w2_new[w2_old.columns].sort_values(key).reset_index(drop=True))
+        _merge_order(wave).reset_index(drop=True),
+        want.reset_index(drop=True))
+    assert fr.total() == 6                  # h0's denied rows requeued
+    assert fr.last_denied_hosts == ["h0.x"]
+    assert verdict["dead"] == {"robots": 10, "zero_rate_host": 7}
+    dead = fr.dead_letter_rows()
+    for reason, mask in (("robots", h1), ("zero_rate_host", h2 & (rank >= 3))):
+        got = dead.loc[dead["_dead_reason"] == reason, "order_key"]
+        assert sorted(got) == sorted(keys(mask))
+    # one refill later h0's requeued rows win the next grants in rank order
+    gate.advance(10)
+    wave2, verdict2 = _staged_wave(fr, 30, gate)
+    assert list(_merge_order(wave2)["order_key"]) == keys(
+        h0 & (rank >= 4) & (rank < 8))
+    assert fr.total() == 2 and fr.last_denied_hosts == ["h0.x"]
+    assert verdict2["dead"] == {}
 
 
 def test_staged_outbox_idempotent_reads():
@@ -441,9 +449,10 @@ def test_spill_pop_order_byte_identical_and_heap_bounded():
         assert len(spilly.shards[0].heap) <= 512
     assert spilly.shards[0]._spill, "threshold was never exceeded"
     assert spilly.total() == plain.total() == n
+    gate_a, gate_b = _open_gate(), _open_gate()
     while plain.total() > 0:
-        a = plain.pop_top(333)
-        b = spilly.pop_top(333)
+        a, _ = _staged_wave(plain, 333, gate_a)
+        b, _ = _staged_wave(spilly, 333, gate_b)
         pd.testing.assert_frame_equal(a, b)
         # invariant: heap ≤ max(threshold, 2k) after every public op
         assert len(spilly.shards[0].heap) <= max(512, 2 * 333)
@@ -468,7 +477,8 @@ def test_spill_survives_snapshot_restore():
     fr2 = ShardedFrontier(2, use_actors=False)
     fr2.restore(fr.snapshot())
     assert fr2.total() == fr.total() == n
-    pd.testing.assert_frame_equal(fr.pop_top(n), fr2.pop_top(n))
+    pd.testing.assert_frame_equal(_staged_wave(fr, n, _open_gate())[0],
+                                  _staged_wave(fr2, n, _open_gate())[0])
 
 
 def test_spill_staged_admission_identical():

@@ -173,3 +173,37 @@ def test_build_frontier_fails_fast_when_workers_cannot_import(fixture_dir,
                        capture_output=True, text=True, timeout=60)
     assert r.returncode != 0
     assert "Ray workers cannot import cninfo_crawler_ray" in r.stderr
+
+
+def test_crawl_pool_floors_fit_two_cpus_and_fail_fast_at_one(tmp_path):
+    """The listing and probe pools' floors leave a CPU for stage 1's tasks:
+    a whole crawl under ``ray.init(num_cpus=2)`` finishes, and at 1 CPU,
+    where no floor fits, stage 1 raises a clear error instead of hanging."""
+    import os
+    import subprocess
+    import sys
+
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    script = tmp_path / "driver.py"
+    script.write_text(
+        "import sys\n"
+        "import ray\n"
+        "ray.init(address='local', num_cpus=int(sys.argv[1]),\n"
+        "         include_dashboard=False, logging_level='ERROR',\n"
+        "         log_to_driver=False)\n"
+        "from cninfo_crawler_ray.pipelines import crawl\n"
+        "print(crawl.run_crawl(200)['counters']['wide_rows'])\n"
+    )
+    env = dict(os.environ, PYTHONPATH=repo)
+
+    def drive(ncpu):
+        return subprocess.run([sys.executable, str(script), str(ncpu)],
+                              cwd=tmp_path, env=env, capture_output=True,
+                              text=True, timeout=60)
+
+    two = drive(2)
+    assert two.returncode == 0, two.stderr[-2000:]
+    assert int(two.stdout.split()[-1]) > 0
+    one = drive(1)
+    assert one.returncode != 0
+    assert "stage 1 needs at least 2 CPUs" in one.stderr

@@ -454,54 +454,54 @@ _CRAWL_ORACLE_SQL = {
         GROUP BY 1
     """,
     # luma: channel-sum factorization golden; dominant color: unique+counts
-    # with explicit min-over-maxima tie rule (tools/make_goldens.py)
+    # with explicit min-over-maxima tie rule (tools/golden_oracles.py)
     "image_luma_histogram": f"SELECT * FROM read_parquet('{_GOLDEN_DIR}/image_luma_histogram.parquet')",
     "video_frame_stats": f"SELECT * FROM read_parquet('{_GOLDEN_DIR}/video_frame_stats.parquet') ORDER BY video_id",
     "audio_clip_stats": f"SELECT * FROM read_parquet('{_GOLDEN_DIR}/audio_clip_stats.parquet') ORDER BY clip_id",
     "image_dominant_color": f"SELECT * FROM read_parquet('{_GOLDEN_DIR}/image_dominant_color.parquet')",
     # whole−interior / summed-area / algebraic factorizations
-    # (tools/make_goldens_r4.py) — independent decompositions per docstring
+    # (tools/golden_oracles.py) — independent decompositions per docstring
     "image_border_contrast": f"SELECT * FROM read_parquet('{_GOLDEN_DIR}/image_border_contrast.parquet')",
     "image_quadrant_range": f"SELECT * FROM read_parquet('{_GOLDEN_DIR}/image_quadrant_range.parquet')",
     "image_mirror_asymmetry": f"SELECT * FROM read_parquet('{_GOLDEN_DIR}/image_mirror_asymmetry.parquet')",
     # gradient energy: factorization golden (Σa²+Σb²−2Σab vs the engine's
     # direct Σ(a−b)² — identical exact integers, different code path);
     # dhash near-dup: brute-force hamming golden (pigeonhole: 4 bands cover
-    # every pair at hamming ≤ 3) — both in tools/make_goldens_r3.py
+    # every pair at hamming ≤ 3) — both in tools/golden_oracles.py
     "image_gradient_energy_hist": f"SELECT * FROM read_parquet('{_GOLDEN_DIR}/image_gradient_energy_hist.parquet')",
     "image_dhash_near_dup": f"SELECT * FROM read_parquet('{_GOLDEN_DIR}/image_dhash_near_dup.parquet')",
     # Otsu: within-class Fraction argmin golden vs the engine's between-class
     # integer argmax; RLE: itertools.groupby row encoder vs vectorized
     # transitions; Euler: flood-fill components−holes vs the 2×2 quad-count
-    # formula — all in tools/make_goldens_r5.py
+    # formula — all in tools/golden_oracles.py
     "image_otsu_hist": f"SELECT * FROM read_parquet('{_GOLDEN_DIR}/image_otsu_hist.parquet')",
     "image_rle_ratio_hist": f"SELECT * FROM read_parquet('{_GOLDEN_DIR}/image_rle_ratio_hist.parquet')",
     "image_euler_hist": f"SELECT * FROM read_parquet('{_GOLDEN_DIR}/image_euler_hist.parquet')",
     # colorfulness: per-value histogram-moment golden vs direct pixel sums;
     # centroid offset: row/col marginal decomposition vs full-2-D weighted
     # sum; GLCM contrast: Σ(a−b)² factorization vs the actual 8×8
-    # co-occurrence matrix — all in tools/make_goldens_r6.py
+    # co-occurrence matrix — all in tools/golden_oracles.py
     "image_colorfulness_hist": f"SELECT * FROM read_parquet('{_GOLDEN_DIR}/image_colorfulness_hist.parquet')",
     "image_centroid_offset_hist": f"SELECT * FROM read_parquet('{_GOLDEN_DIR}/image_centroid_offset_hist.parquet')",
     "image_glcm_contrast_hist": f"SELECT * FROM read_parquet('{_GOLDEN_DIR}/image_glcm_contrast_hist.parquet')",
     # spread: marginal-decomposition golden vs full-2-D weighted sum;
     # palette: sort-based distinct vs bincount distinct; blockiness:
     # reduceat block sums + global-Σx² identity vs reshape two-moment
-    # reduction — all in tools/make_goldens_r7.py
+    # reduction — all in tools/golden_oracles.py
     "image_spread_hist": f"SELECT * FROM read_parquet('{_GOLDEN_DIR}/image_spread_hist.parquet')",
     "image_palette_size_hist": f"SELECT * FROM read_parquet('{_GOLDEN_DIR}/image_palette_size_hist.parquet')",
     "image_blockiness_hist": f"SELECT * FROM read_parquet('{_GOLDEN_DIR}/image_blockiness_hist.parquet')",
     # tile dup: hash-set .tobytes() golden vs void-view np.unique;
     # R/G covariance: joint-histogram moments vs direct pixel sums —
-    # both in tools/make_goldens_r8.py
+    # both in tools/golden_oracles.py
     "image_tile_dup_hist": f"SELECT * FROM read_parquet('{_GOLDEN_DIR}/image_tile_dup_hist.parquet')",
     "image_rg_cov_hist": f"SELECT * FROM read_parquet('{_GOLDEN_DIR}/image_rg_cov_hist.parquet')",
     # composed curation flagship: independent gate kernels + brute-force
     # O(n²) hamming pair discovery vs the engine's banded LSH + independent
-    # drop-rule replay — tools/make_goldens_r9.py
+    # drop-rule replay — tools/golden_oracles.py
     "image_curation_pipeline": f"SELECT * FROM read_parquet('{_GOLDEN_DIR}/image_curation_pipeline.parquet')",
     # orientation classes: 27-bin sign/cmp encode + Python lookup golden
-    # vs vectorized masks — tools/make_goldens_r10.py
+    # vs vectorized masks — tools/golden_oracles.py
     "image_orientation_hist": f"SELECT * FROM read_parquet('{_GOLDEN_DIR}/image_orientation_hist.parquet')",
     # channel cast: per-channel bincount-factorization golden
     "image_channel_cast_hist": f"SELECT * FROM read_parquet('{_GOLDEN_DIR}/image_channel_cast_hist.parquet')",
@@ -579,7 +579,7 @@ _CRAWL_ORACLE_SQL = {
     "image_features": f"SELECT * FROM read_parquet('{_GOLDEN_DIR}/image_features.parquet')",
     # deterministic-but-not-SQL text/embedding operators: goldens re-derived
     # from the algorithm spec by a single-process row-at-a-time implementation
-    # (tools/make_text_goldens.py — pure-Python bit ops / dict bucket index /
+    # (tools/golden_oracles.py — pure-Python bit ops / dict bucket index /
     # one driver-side numpy pass; engine-cross-checked at generation time)
     "image_thumbnails": f"SELECT * FROM read_parquet('{_GOLDEN_DIR}/image_thumbnails.parquet')",
     "rolling_fingerprint": f"SELECT * FROM read_parquet('{_GOLDEN_DIR}/rolling_fingerprint.parquet')",
@@ -639,10 +639,10 @@ _CRAWL_ORACLE_SQL = {
 
 #: dup_clusters / approx_distinct_users are deterministic but not
 #: SQL-expressible; their goldens come from independent spec implementations
-#: (union-find / pure-python HLL in tools/make_text_goldens.py)
+#: (union-find / pure-python HLL in tools/golden_oracles.py)
 _ANALYTICS_GOLDEN_SQL = {
     "dup_clusters": f"SELECT * FROM read_parquet('{_GOLDEN_DIR}/dup_clusters.parquet')",
-    # union-find over DuckDB-levenshtein pairs (tools/make_text_goldens.py)
+    # union-find over DuckDB-levenshtein pairs (tools/golden_oracles.py)
     # — independent candidate generation AND clustering algorithm
     "name_dup_clusters": f"SELECT * FROM read_parquet('{_GOLDEN_DIR}/name_dup_clusters.parquet')",
     "approx_distinct_users": f"SELECT * FROM read_parquet('{_GOLDEN_DIR}/approx_distinct_users.parquet')",

@@ -36,12 +36,22 @@ def _parse_date(s: str) -> date:
 
 
 def _cmd_crawl(args) -> int:
+    import json
+
     from .config import CrawlConfig
     from .pipelines import stage1
+    from .schemas import REPORT_TYPE_MAP
     from .sources.corpus import ensure_fixtures
 
     t0 = time.time()
     fdir = ensure_fixtures(args.n_images)
+    with open(os.path.join(fdir, "meta.json")) as f:
+        corpus_category = json.load(f)["category"]
+    category = REPORT_TYPE_MAP[args.report_type]["category"]
+    if category != corpus_category:
+        # the synthetic listing corpus holds one report category
+        raise SystemExit(f"--report-type {args.report_type} lists {category}, "
+                         f"but the corpus only has {corpus_category}")
     dates = None
     requested_span = None
     if args.start_date or args.end_date:
@@ -57,8 +67,7 @@ def _cmd_crawl(args) -> int:
             raise SystemExit(
                 f"no listing dates in range; corpus covers "
                 f"{[d.isoformat() for d in stage1.fixture_dates(fdir)]}")
-    cfg = CrawlConfig(report_type=args.report_type,
-                      probe_sniff_magic=args.sniff_magic)
+    cfg = CrawlConfig(probe_sniff_magic=args.sniff_magic)
     frontier = stage1.build_frontier(fdir, cfg, dates=dates)
     out = args.out
     if os.path.isdir(out) or out.endswith(os.sep):
@@ -242,13 +251,16 @@ def _cmd_schedule(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
+    from .schemas import REPORT_TYPE_MAP
+
     p = argparse.ArgumentParser(prog="cninfo_crawler_ray")
     sub = p.add_subparsers(dest="cmd", required=True)
 
     c = sub.add_parser("crawl", help="stage 1: listings -> frontier CSV")
     c.add_argument("--start-date", default=None)
     c.add_argument("--end-date", default=None)
-    c.add_argument("--report-type", default="ndbg")
+    c.add_argument("--report-type", default="ndbg",
+                   choices=sorted(REPORT_TYPE_MAP))
     c.add_argument("--n-images", type=int, default=1_000)
     c.add_argument("--sniff-magic", action="store_true",
                    help="GET-fallback magic sniff on ambiguous HEADs")

@@ -33,7 +33,6 @@ class CrawlConfig:
     #: state/frontier.py). None = unbounded (sandbox default; a 10^10-URL
     #: run sets this to O(10^6) per shard).
     frontier_spill_rows: int | None = None
-    num_hosts: int = 8             # synthetic host universe (hot host 0)
 
     # --- Ray Data stage sizing ---
     listing_batch_size: int = 1        # seeds per listing task — one stream
@@ -60,9 +59,6 @@ class CrawlConfig:
     #: deterministically (tests/test_scheduler.py). The path travels to the
     #: actor via its constructor args, so it works across worker processes.
     fault_inject_path: str | None = None
-
-    # --- report-type config (J2; cninfo_report_crawler.py:24-29) ---
-    report_type: str = "ndbg"
 
 
 DEFAULT_CONFIG = CrawlConfig()

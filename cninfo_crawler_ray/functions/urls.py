@@ -1,10 +1,10 @@
-"""URL canonicalization, hashing and hash-range partitioning.
+"""URL canonicalization and hashing.
 
 The reference builds URLs by blind prefix-concat (cninfo_report_crawler.py:69)
 and dedups on a raw 4-tuple (:294-306). The target keys everything on
 SHA1(canonical URL) per the north rule: frontier/seen/checkpoint state is
-partitioned by url-sha1 hash range so it spreads uniformly even when hosts are
-skewed.
+partitioned by url-sha1 hash range (``state/seen.shard_of``) so it spreads
+uniformly even when hosts are skewed.
 """
 
 from __future__ import annotations
@@ -44,19 +44,3 @@ def sha1_hex(values) -> np.ndarray:
     """SHA1 hex digests for an iterable of strings. hashlib per element —
     ~1 M/s, run inside map_batches so it scales with tasks."""
     return np.array([hashlib.sha1(str(v).encode("utf-8")).hexdigest() for v in values], dtype=object)
-
-
-def partition_of(sha1_hex_col, num_partitions: int) -> np.ndarray:
-    """Hash-range partition id from the leading 8 hex chars of the sha1 —
-    contiguous ranges so a partition's rows are a provable url-hash interval
-    (the checkpoint/lineage unit, SURVEY.md §4.4)."""
-    prefixes = np.array([int(str(h)[:8], 16) for h in sha1_hex_col], dtype=np.uint64)
-    width = (1 << 32) // num_partitions + 1
-    return (prefixes // width).astype(np.int32)
-
-
-def salted_key(host_col: pd.Series, sha1_col: pd.Series, salt_buckets: int = 16) -> pd.Series:
-    """Hot-host salt: compose (host, sha1-derived salt) so one hot host fans
-    out across ``salt_buckets`` shuffle keys (SURVEY.md §4.1 skew row)."""
-    salt = sha1_col.str[:2].apply(lambda x: int(x, 16) % salt_buckets)
-    return host_col.astype(str) + "#" + salt.astype(str)

@@ -525,7 +525,7 @@ def q_image_gradient_energy_hist(sf_dir: str):
     gradient energy = flat/blurry crawl image). Oracle: golden computed by
     the algebraic FACTORIZATION Σ(a−b)² = Σa² + Σb² − 2Σab over separate
     accumulations — identical exact integers, different code path
-    (tools/make_goldens_r3.py)."""
+    (tools/golden_oracles.py)."""
     return count_hist(sf_dir, "bucket", lambda px: _grad_energy(px) // 500)
 
 
@@ -535,7 +535,7 @@ def q_image_channel_cast_hist(sf_dir: str):
     1000 ppm. The white-balance audit a vision curation pass runs to flag
     tinted crawl images before training. Oracle: golden from an independent
     per-channel BINCOUNT factorization (Σ v·count_v — identical exact
-    integers, different code path; tools/make_goldens_r3.py)."""
+    integers, different code path; tools/golden_oracles.py)."""
     def cast(px: np.ndarray) -> int:
         s = [int(px[:, :, c].sum(dtype=np.int64)) for c in range(3)]
         return ((max(s) - min(s)) * 1_000_000) // (s[0] + s[1] + s[2]) // 1000
@@ -627,7 +627,7 @@ def colorfulness_var_num(px: np.ndarray) -> tuple[int, int]:
     (n·Σrg² − (Σrg)²) + (n·Σyb² − (Σyb)²) and n. The numerator is n² × the
     summed opponent-channel variance — all int64-safe at 128×128 (≤ ~4e14).
     Engine path: direct vectorized pixel sums. Golden path
-    (tools/make_goldens_r6.py): the SAME numerator from per-VALUE histograms
+    (tools/golden_oracles.py): the SAME numerator from per-VALUE histograms
     (bincount moments in Python ints) — disjoint accumulation order."""
     p = px.astype(np.int64)
     rg = p[:, :, 0] - p[:, :, 1]
@@ -684,7 +684,7 @@ def glcm_contrast_scaled(gray: np.ndarray) -> int:
     integer per-mille: 1000·Σ_{i,j} G[i,j]·(i−j)² // n_pairs. Engine path:
     build the ACTUAL 8×8 co-occurrence matrix with one bincount on the
     fused index 8·q_left + q_right, then dot with the precomputed (i−j)²
-    weight vector. Golden path (tools/make_goldens_r6.py): never builds the
+    weight vector. Golden path (tools/golden_oracles.py): never builds the
     matrix — sums (q[r][c]−q[r][c+1])² directly per row in Python ints.
     Identical exact value, disjoint algorithm family."""
     q = (gray >> 5).astype(np.int64)
@@ -713,7 +713,7 @@ def spread_pm(luma: np.ndarray) -> int:
     all mass in the corners — the vignetting/border-art detector that
     complements the first-moment centroid offset. Engine path: one full-2-D
     weighted sum over the separable d² grid. Golden path
-    (tools/make_goldens_r7.py): row/column MARGINAL sums dotted with the
+    (tools/golden_oracles.py): row/column MARGINAL sums dotted with the
     per-axis squared offsets in Python ints."""
     h, w = luma.shape
     m = int(luma.sum())
@@ -757,7 +757,7 @@ def block_variance_milli(gray: np.ndarray) -> int:
     """Mean 8×8-block luma variance in exact milli-units:
     1000·Σ_b(64·Σx²_b − (Σx_b)²) // (64²·n_blocks), remainder rows/cols
     cropped. Engine path: reshape to (H/8, 8, W/8, 8) and reduce axes
-    (1, 3) for both moments. Golden path (tools/make_goldens_r7.py):
+    (1, 3) for both moments. Golden path (tools/golden_oracles.py):
     np.add.reduceat block sums of x and the GLOBAL Σx² via the identity
     Σ_b 64·Σx²_b = 64·ΣX² — a disjoint block-geometry computation that
     only matches if the reshape tiling is right."""
@@ -789,7 +789,7 @@ def tile_dup_pm(gray: np.ndarray) -> int:
     1000·(n_tiles−n_distinct) // n_tiles over the cropped frame. High
     values flag tiled/synthetic art and letterbox padding. Engine path:
     one reshape into tile rows + one np.unique over the 64-byte void view.
-    Golden path (tools/make_goldens_r8.py): a Python set of tile
+    Golden path (tools/golden_oracles.py): a Python set of tile
     .tobytes() — hash-set vs sort-based distinct over a
     differently-assembled tiling."""
     h8, w8 = gray.shape[0] // 8, gray.shape[1] // 8
@@ -816,7 +816,7 @@ def rg_cov_scaled(px: np.ndarray) -> int:
     channel-coupling statistic that separates grayscale-ish crawl images
     (covariance ≈ variance, strongly positive) from hue-rich ones. Engine
     path: four direct vectorized pixel sums. Golden path
-    (tools/make_goldens_r8.py): all four moments from ONE joint 65536-bin
+    (tools/golden_oracles.py): all four moments from ONE joint 65536-bin
     (r<<8|g) histogram in Python ints — disjoint accumulation."""
     p = px.astype(np.int64)
     r, g = p[:, :, 0], p[:, :, 1]
@@ -838,7 +838,7 @@ def orientation_class_counts(gray: np.ndarray) -> np.ndarray:
     (|dx| == |dy|, dx·dy > 0), 3 = anti-diagonal / degenerate equal case.
     All-integer comparisons — no atan2, no bin-edge float hazard. Returns
     the 4 class counts. Engine path: four vectorized masks. Golden path
-    (tools/make_goldens_r10.py): a 27-bin (sign dx, sign dy, cmp) encode +
+    (tools/golden_oracles.py): a 27-bin (sign dx, sign dy, cmp) encode +
     pure-Python bin→class lookup — disjoint decision structure."""
     g = gray.astype(np.int64)
     dx = g[1:-1, 2:] - g[1:-1, :-2]
@@ -1008,7 +1008,7 @@ def q_image_curation_pipeline(sf_dir: str):
     the pair member with the lexicographically larger image_id is dropped
     (an id-order rule, not an image-size rule; the golden replays the same
     rule). Output: one summary row with every stage's counts. Golden
-    (tools/make_goldens_r9.py): independent per-image kernels for all
+    (tools/golden_oracles.py): independent per-image kernels for all
     three gates, BRUTE-FORCE O(n²) hamming pair discovery instead of
     banding, and an independent drop-rule replay."""
     g_cf, g_gr, g_td = (CURATION_GATES["colorfulness_min"],

@@ -101,7 +101,7 @@ def q_video_frame_stats(sf_dir: str, stride: int = 2):
     one keyed shuffle over those rows with an arrow-native kernel
     (lexsort + reduceat — no per-video Python). Oracle: golden parquet from
     an independent recomputation over the ORIGINAL pixel arrays
-    (tools/make_goldens_r11.py), bypassing container encode/decode."""
+    (tools/golden_oracles.py), bypassing container encode/decode."""
     n = n_videos_for(sf_dir)
 
     def synth(t: pa.Table) -> pa.Table:

@@ -41,6 +41,7 @@ from ..functions import kernels, urls as U
 from ..schemas import FRONTIER_CSV_COLUMNS
 from ..stages.fetch import Prober
 from ..stages.listing import ListingEnumerator
+from ..state.seen import shard_of
 
 
 def _prepare_candidates(batch: pa.Table, years: list[int], num_partitions: int) -> pa.Table:
@@ -56,7 +57,7 @@ def _prepare_candidates(batch: pa.Table, years: list[int], num_partitions: int) 
     url_raw = pd.Series(["https://" + u for u in t["adjunctUrl"].to_pylist()])
     url_canon = U.canonicalize(url_raw)
     sha = U.sha1_hex(url_canon)
-    part = U.partition_of(sha, num_partitions)
+    part = shard_of(bytes.fromhex("".join(sha)), num_partitions).astype(np.int32)
     host = U.host_of(url_canon)
     # priority = disclosure-date recency × seed rank (north rule): more
     # recent reports and earlier-ranked exchanges fetch first.
@@ -293,7 +294,8 @@ def frontier_from_csv(path: str, config: CrawlConfig | None = None) -> rd.Datase
         host=U.host_of(canon).tolist(),
         priority=days_np,
         order_key=np.arange(len(df), dtype=np.int64),
-        partition_id=np.array(U.partition_of(sha, cfg.num_partitions), dtype=np.int32),
+        partition_id=shard_of(bytes.fromhex("".join(sha)),
+                              cfg.num_partitions).astype(np.int32),
     )
     return rd.from_arrow(_pa_from_pandas(df))
 

@@ -152,7 +152,7 @@ def fetch_decode(
     # object store (see stages.decode.FetchDecode)
     return frontier.map_batches(
         FetchDecode,
-        fn_constructor_args=(corpus_path, True, cfg.fault_inject_path),
+        fn_constructor_args=(corpus_path, cfg.fault_inject_path),
         batch_format="pyarrow",
         batch_size=cfg.fetch_batch_size,
         concurrency=concurrency or cfg.fetch_actors,

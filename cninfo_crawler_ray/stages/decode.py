@@ -43,12 +43,11 @@ class FetchDecode:
     in-process (report_info_collection.py:250-296 does fetch→parse in one
     function for the same reason)."""
 
-    def __init__(self, corpus_path: str, compute_phash: bool = True,
-                 fault_inject_path: str | None = None):
+    def __init__(self, corpus_path: str, fault_inject_path: str | None = None):
         from ..sources.http_store import open_store
 
         self.store = open_store(corpus_path)
-        self._decode = Decoder(compute_phash)
+        self._decode = Decoder()
         self._fault_path = fault_inject_path
 
     def __call__(self, batch: pa.Table) -> pa.Table:
@@ -75,22 +74,6 @@ class FetchDecode:
 
 
 class Decoder:
-    def __init__(self, compute_phash: bool = True):
-        self.compute_phash = compute_phash
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        # unfused path: payloads arrive as an Arrow column; parse them as
-        # zero-copy views rather than to_pylist (one ~90 KB memcpy + bytes
-        # allocation per row — measured as the 32-CPU memory-bandwidth
-        # ceiling, BASELINE.md)
-        from ..sources.store import binary_views
-
-        views = binary_views(batch["bytes"])
-        statuses = np.asarray(batch["status"])
-        out = self.decode_views(batch, statuses, views)
-        del views
-        return out
-
     def decode_views(self, batch: pa.Table, statuses, blobs) -> pa.Table:
         """Decode per-row payload buffers (memoryviews or bytes); ``batch``
         provides the metadata columns and may or may not carry a ``bytes``
@@ -120,8 +103,7 @@ class Decoder:
             type_ok[i] = True
             captions[i] = meta.get("caption")
             heights[i], widths[i] = px.shape[0], px.shape[1]
-            if self.compute_phash:
-                phashes[i] = codecs.phash64(px)
+            phashes[i] = codecs.phash64(px)
             items, flag = extract_items_from_pages(meta.get("pages") or [])
             items_json[i] = json.dumps(items, ensure_ascii=False)
             has_flag[i] = 1 if flag else 0

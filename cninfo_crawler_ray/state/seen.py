@@ -31,8 +31,8 @@ import numpy as np
 def shard_of(raw: bytes, num_shards: int) -> np.ndarray:
     """Hash-range shard of each 20-byte SHA1 key concatenated in ``raw``:
     its leading big-endian u32 (a strided view — a key is five u32s) over
-    ``num_shards`` equal intervals, the checkpoint partitions. The one
-    routing rule for the seen set and the frontier heap."""
+    ``num_shards`` equal intervals. The one hash-range rule: stage 1's
+    checkpoint ``partition_id``, the seen set and the frontier heap."""
     width = (1 << 32) // num_shards + 1
     return np.frombuffer(raw, dtype=">u4")[::5].astype(np.int64) // width
 

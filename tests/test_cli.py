@@ -130,6 +130,27 @@ def test_cli_rejects_bad_dates():
     assert r.returncode != 0
 
 
+def test_cli_crawl_report_type_must_match_corpus(tmp_path):
+    """The synthetic corpus lists one category (annual reports): a report
+    type it does not hold fails, naming the corpus's category, instead of
+    crawling the annual reports under the wrong name; an unknown type is a
+    usage error. ``ndbg`` crawls and names the CSV after itself."""
+    r = _run("crawl", "--report-type", "yjdbg", "--n-images", "800",
+             "--out", str(tmp_path) + os.sep)
+    assert r.returncode != 0
+    assert "category_ndbg_szsh" in r.stderr
+    assert not os.listdir(tmp_path)
+    r = _run("crawl", "--report-type", "nosuchtype", "--out", str(tmp_path) + os.sep)
+    assert r.returncode != 0
+    assert not os.listdir(tmp_path)
+
+    r = _run("crawl", "--report-type", "ndbg", "--n-images", "800",
+             "--out", str(tmp_path) + os.sep)
+    assert r.returncode == 0, r.stderr[-2000:]
+    [name] = os.listdir(tmp_path)
+    assert name.startswith("listed_companies_") and "_ndbg_" in name
+
+
 def test_cli_export_shards_and_resumes(tmp_path):
     """The export sink must write per-shard parquet + manifest lineage,
     skip every committed shard on rerun, rewrite exactly the missing shard

@@ -178,9 +178,12 @@ def test_url_canonicalize_and_partition():
     import hashlib
 
     assert sha[0] == hashlib.sha1(got[0].encode()).hexdigest()
-    parts = U.partition_of(sha, 16)
+    from cninfo_crawler_ray.state.seen import shard_of
+
+    parts = shard_of(bytes.fromhex("".join(sha)), 16)
     assert parts.min() >= 0 and parts.max() < 16
     # partitioning is uniform-ish over many urls
-    many = U.partition_of(U.sha1_hex([f"https://h/{i}" for i in range(2000)]), 16)
+    many = shard_of(bytes.fromhex("".join(
+        U.sha1_hex([f"https://h/{i}" for i in range(2000)]))), 16)
     counts = np.bincount(many, minlength=16)
     assert counts.min() > 60

@@ -178,10 +178,11 @@ GOLDEN_CHECKED = ["rolling_fingerprint", "simhash", "simhash_near_dup",
 @pytest.mark.parametrize("name", GOLDEN_CHECKED)
 def test_query_matches_spec_golden(entrymod, name):
     """Goldens (goldens/sf0.01, valid at sf0.01 only) come from independent
-    implementations of each operator's spec: the text/embedding ones from
-    tools/make_text_goldens.py, the image ones from tools/make_goldens*.py
-    (brute-force hamming pairs, union-find clusters, a dict-bucket region
-    index, a loop-based resize, per-image kernels written another way)."""
+    implementations of each operator's spec, all in tools/golden_oracles.py
+    and written by tools/make_goldens.py: row-at-a-time text/embedding
+    oracles, brute-force hamming pairs, union-find clusters, a dict-bucket
+    region index, a loop-based resize, per-image kernels written another
+    way."""
     import pyarrow.parquet as pq
 
     got = _canon(_to_df(entrymod.queries()[name]("/root/testdata/sf0.01")))

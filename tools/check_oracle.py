@@ -6,13 +6,14 @@ rows / schema / value-hash the way the driver does: sort columns by name,
 sort rows by every column, hash canonicalized values (dtype-sensitive —
 int64 vs int128/HUGEINT must mismatch, mirroring round-1 behavior).
 
-Usage: PYTHONPATH=/root/repo python tools/check_oracle.py [sf_dir] [only,names]
+Usage: PYTHONPATH=. python tools/check_oracle.py [sf_dir] [only,names]
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
 import sys
 
 import duckdb
@@ -38,6 +39,18 @@ def canon(df: pd.DataFrame) -> tuple[pd.DataFrame, str]:
     return df, h.hexdigest()
 
 
+def load_entry():
+    """The driver-contract module ``__ray_entry__.py`` at the repo root."""
+    import importlib.util
+
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "__ray_entry__.py")
+    spec = importlib.util.spec_from_file_location("__ray_entry__", path)
+    m = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(m)
+    return m
+
+
 def to_df(res) -> pd.DataFrame:
     import pyarrow as pa
 
@@ -56,12 +69,7 @@ def main() -> None:
         ray.init(address="local", num_cpus=16, include_dashboard=False,
                  ignore_reinit_error=True, log_to_driver=False)
 
-    import importlib.util
-
-    spec = importlib.util.spec_from_file_location("__ray_entry__", "/root/repo/__ray_entry__.py")
-    m = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(m)
-
+    m = load_entry()
     qs, oracles = m.queries(), m.oracle_sql()
     con = duckdb.connect()
     for t in TABLES:

@@ -1,18 +1,30 @@
-"""Generate DuckDB-loadable golden parquet for the crawl-specific queries.
+"""Generate the golden tables under goldens/sf0.01/ — the oracles of the
+``queries()`` entries whose semantics SQL cannot express.
 
-The driver's correctness gate can only check queries that have an
-``oracle_sql()`` entry. The crawl pipelines run the synthetic image+caption
-corpus (BASELINE.json input_hint), which has no SQL-relational equivalent —
-so their oracle is a GOLDEN TABLE generated by the independent single-process
-per-row oracle (tests/oracle_impl.py — reference semantics, shares no code
-with the engine's vectorized kernels), written once at the driver's
-correctness scale (sf0.01 ↔ 10k-image fixture, sources/corpus.py
-scale_for_sf_dir), and committed under goldens/sf0.01/. The SQL entries are
-then `SELECT * FROM read_parquet('<golden>')`.
+The crawl pipelines run the synthetic image+caption corpus (BASELINE.json
+input_hint), and the text, sketch and media operators are their own
+algorithm, so the gate's ``oracle_sql()`` entries for them read a GOLDEN
+TABLE: ``SELECT * FROM read_parquet('<golden>')``. Each golden comes from an
+independent oracle (tools/golden_oracles.py, tests/oracle_impl.py) at the
+driver's correctness scale (sf0.01 ↔ the 10k-image fixture).
 
-Regenerate (and re-verify against the engine) with:
-    PYTHONPATH=/root/repo:/root/repo/tests python tools/make_goldens.py
-Required whenever FIXTURE_VERSION bumps or crawl semantics change.
+``PER_IMAGE`` and ``WHOLE_SET`` are the registry (``GOLDENS`` lists their
+names): each name is both a ``queries()`` key and the file stem under
+goldens/sf0.01/. One run
+
+1. loads the fixture, the corpus and the golden frontier once, decodes each
+   frontier image once and feeds it to every selected per-image oracle
+   (one with an engine-kernel twin asserts it per image), then runs the
+   whole-set oracles;
+2. compares every golden with its ``queries()`` entry at sf0.01 through
+   ``check_oracle.canon``, the gate's own dtype-sensitive rule, and stops
+   before writing anything if one differs;
+3. writes the goldens.
+
+    python tools/make_goldens.py [name ...]
+
+Names select a subset (default: all). Required whenever FIXTURE_VERSION
+bumps or the semantics of a golden-backed query change.
 """
 
 from __future__ import annotations
@@ -20,288 +32,233 @@ from __future__ import annotations
 import json
 import os
 import sys
+import time
 from datetime import date
+from functools import cached_property
 
 import pandas as pd
 import pyarrow as pa
 import pyarrow.parquet as pq
 
-sys.path.insert(0, "/root/repo")
-sys.path.insert(0, "/root/repo/tests")
+HERE = os.path.dirname(os.path.abspath(__file__))
+ROOT = os.path.dirname(HERE)
+for _p in (HERE, os.path.join(ROOT, "tests"), ROOT):
+    if _p not in sys.path:
+        sys.path.insert(0, _p)
 
-GOLDEN_DIR = "/root/repo/goldens/sf0.01"
+import golden_oracles as O  # noqa: E402
+
+GOLDEN_DIR = os.path.join(ROOT, "goldens", "sf0.01")
+SF_DIR = "/root/testdata/sf0.01"
 N_IMAGES = 10_000  # scale_for_sf_dir("sf0.01")
 
+#: name → factory of an accumulator fed every decoded frontier image
+#: (``add(iid, px)``, then ``frame()``)
+PER_IMAGE = {
+    "image_features": lambda: O.Rows(
+        O.block_means, ["image_id", "f00", "f01", "f10", "f11"]),
+    "image_thumbnails": lambda: O.Rows(
+        O.thumbnail_row, ["image_id", "thumb_crc32", "thumb_mean"],
+        O.thumbnails_finish),
+    "image_region_near_dup": O.RegionPairs,
+    "image_dhash_near_dup": O.DhashPairs,
+    "image_curation_pipeline": O.Curation,
+    "image_luma_histogram": lambda: O.Hist(O.luma_bucket),
+    "image_dominant_color": lambda: O.Hist(O.dominant_color),
+    "image_gradient_energy_hist": lambda: O.Hist(O.gradient_energy_bucket),
+    "image_channel_cast_hist": lambda: O.Hist(O.channel_cast_bucket),
+    "image_border_contrast": lambda: O.Hist(O.border_contrast_bucket),
+    "image_quadrant_range": lambda: O.Hist(O.quadrant_range_bucket),
+    "image_mirror_asymmetry": lambda: O.Hist(O.mirror_asymmetry_bucket),
+    "image_otsu_hist": lambda: O.Hist(O.otsu_key, ("otsu_t", "n")),
+    "image_rle_ratio_hist": lambda: O.Hist(O.rle_ratio_bucket),
+    "image_euler_hist": lambda: O.Hist(O.euler_key, ("euler", "n")),
+    "image_colorfulness_hist": lambda: O.Hist(O.colorfulness_bucket),
+    "image_centroid_offset_hist": lambda: O.Hist(O.centroid_offset_bucket),
+    "image_glcm_contrast_hist": lambda: O.Hist(O.glcm_contrast_bucket),
+    "image_spread_hist": lambda: O.Hist(O.spread_bucket),
+    "image_palette_size_hist": lambda: O.Hist(O.palette_size_bucket),
+    "image_blockiness_hist": lambda: O.Hist(O.blockiness_bucket),
+    "image_tile_dup_hist": lambda: O.Hist(O.tile_dup_bucket),
+    "image_rg_cov_hist": lambda: O.Hist(O.rg_cov_bucket),
+    "image_orientation_hist": lambda: O.Hist(
+        O.orientation_key, ("dom_class", "share_bucket", "n")),
+}
 
-def main() -> None:
-    import ray
+#: name → oracle over the run's shared ``Inputs``
+WHOLE_SET = {
+    "crawl_frontier": lambda i: O.crawl_frontier(i.stage1),
+    "wide_report": lambda i: O.wide_report(i.stage2[1]),
+    "fetch_decode_stats": lambda i: O.fetch_decode_stats(i.stage2[0]),
+    "phash_near_dup": lambda i: O.phash_near_dup(i.corpus),
+    "image_dup_clusters": lambda i: O.image_dup_clusters(
+        i.golden("phash_near_dup"), i.corpus),
+    "video_frame_stats": lambda i: O.golden_video(SF_DIR),
+    "audio_clip_stats": lambda i: O.golden_audio(SF_DIR),
+    "rolling_fingerprint": lambda i: O.oracle_rolling(i.docs),
+    "simhash": lambda i: O.oracle_simhash(i.docs),
+    "simhash_near_dup": lambda i: O.oracle_simhash_near_dup(i.golden("simhash")),
+    "minhash_lsh_dedup": lambda i: O.oracle_minhash_pairs(i.docs),
+    "dup_clusters": lambda i: O.oracle_dup_clusters(
+        i.docs, i.golden("minhash_lsh_dedup")),
+    "name_dup_clusters": lambda i: O.oracle_name_dup_clusters(SF_DIR),
+    "approx_distinct_users": lambda i: O.oracle_approx_distinct_users(SF_DIR),
+    "approx_distinct_by_type": lambda i: O.oracle_approx_distinct_by_type(SF_DIR),
+    "ann_lsh_topk": lambda i: O.oracle_ann_lsh(i.emb),
+    "ann_ivf_topk": lambda i: O.oracle_ann_ivf(i.emb),
+    "embed_clusters": lambda i: O.oracle_embed_clusters(i.emb),
+}
 
-    if not ray.is_initialized():
-        ray.init(address="local", num_cpus=16, include_dashboard=False,
-                 log_to_driver=False)
+GOLDENS = sorted({**PER_IMAGE, **WHOLE_SET})
 
-    import oracle_impl as O
-    from cninfo_crawler_ray.sources import corpus as C
+#: further ``queries()`` entries whose oracle reads the same golden
+ALSO_CHECKED = {"wide_report": ("scheduled_crawl",)}
 
-    fdir = C.ensure_fixtures(N_IMAGES)
-    corpus = pq.read_table(f"{fdir}/corpus.parquet").to_pandas()
-    anns = pq.read_table(f"{fdir}/announcements.parquet").to_pandas()
-    with open(f"{fdir}/meta.json") as f:
-        meta = json.load(f)
-    dates = [date.fromisoformat(d) for d in meta["dates"]]
+#: goldens committed without the pandas schema metadata; writing them the
+#: same way keeps regeneration byte-identical
+NO_SCHEMA_METADATA = {"video_frame_stats", "audio_clip_stats"}
 
-    frontier = O.oracle_stage1(anns, dates, corpus)
-    o_long, o_wide = O.oracle_stage2(frontier, corpus)
 
-    g_frontier = frontier[["股票代码", "公司名称", "财报名称", "报告日期",
-                           "PDF链接", "order_key"]].reset_index(drop=True)
-    g_wide = o_wide.copy()
-    g_wide["是否包含数据资产"] = g_wide["是否包含数据资产"].astype("int64")
+class Inputs:
+    """The inputs the oracles share, each loaded or computed once a run,
+    and the goldens built so far."""
 
-    docs = o_long.drop_duplicates("PDF链接")[["PDF链接", "_has_data_resource"]]
-    g_stats = (
-        docs.assign(fmt=docs["PDF链接"].str.rsplit(".", n=1).str[-1])
-        .groupby("fmt", as_index=False)
-        .agg(n_docs=("PDF链接", "size"), n_with_flag=("_has_data_resource", "sum"))
-        .astype({"n_docs": "int64", "n_with_flag": "int64"})
-    )
+    def __init__(self):
+        self.built: dict[str, pd.DataFrame] = {}
 
-    # phash near-dup golden: BRUTE-FORCE hamming over the corpus phash column
-    # (no LSH). With 4 16-bit bands, any pair at hamming ≤ 3 shares at least
-    # one untouched band (pigeonhole), so the engine's banded LSH provably
-    # recovers EVERY pair at the query's max_hamming=2 — brute force is an
-    # exact, independent oracle for it.
-    import numpy as np
+    def golden(self, name: str) -> pd.DataFrame:
+        if name not in self.built:
+            self.built[name] = WHOLE_SET[name](self)
+        return self.built[name]
 
-    ph = corpus["phash"].to_numpy().view(np.uint64)
-    ids = corpus["image_id"].to_numpy()
-    pairs_a, pairs_b = [], []
-    chunk = 512
-    for lo in range(0, len(ph), chunk):
-        x = ph[lo:lo + chunk, None] ^ ph[None, :]
-        ham = np.unpackbits(x.view(np.uint8).reshape(x.shape[0], x.shape[1], 8),
-                            axis=2).sum(axis=2)
-        ii, jj = np.nonzero(ham <= 2)
-        glob_i = ii + lo
-        keep = glob_i < jj  # each unordered pair once
-        pairs_a.extend(ids[glob_i[keep]])
-        pairs_b.extend(ids[jj[keep]])
-    pa_arr, pb_arr = np.asarray(pairs_a), np.asarray(pairs_b)
-    swap = pa_arr > pb_arr
-    a = np.where(swap, pb_arr, pa_arr)
-    b = np.where(swap, pa_arr, pb_arr)
-    g_phash = (pd.DataFrame({"image_a": a, "image_b": b})
-               .drop_duplicates()
-               .sort_values(["image_a", "image_b"])
-               .reset_index(drop=True))
+    @cached_property
+    def fixture(self) -> str:
+        from cninfo_crawler_ray.sources import corpus as C
 
-    # image dup-cluster golden: classic sequential UNION-FIND over the
-    # brute-force pair list (path compression + union by label min) — an
-    # independent algorithm family from the engine's min-label propagation.
-    parent: dict[int, int] = {}
+        return C.ensure_fixtures(N_IMAGES)
 
-    def find(x: int) -> int:
-        r = x
-        while parent.get(r, r) != r:
-            r = parent[r]
-        while parent.get(x, x) != x:
-            parent[x], x = r, parent[x]
-        return r
+    @cached_property
+    def corpus(self) -> pd.DataFrame:
+        return pq.read_table(f"{self.fixture}/corpus.parquet").to_pandas()
 
-    for ia, ib in zip(g_phash["image_a"], g_phash["image_b"]):
-        ra, rb = find(int(ia[4:])), find(int(ib[4:]))
-        if ra != rb:
-            lo, hi = min(ra, rb), max(ra, rb)
-            parent[hi] = lo
-    all_nums = [int(s[4:]) for s in ids]
-    g_img_cc = pd.DataFrame({
-        "image_id": ids,
-        "cluster_id": np.asarray([find(n) for n in all_nums], dtype=np.int64),
-    }).sort_values("image_id").reset_index(drop=True)
+    @cached_property
+    def stage1(self) -> pd.DataFrame:
+        import oracle_impl
 
-    # image-features golden: recompute the 2×2 block-mean features straight
-    # from the corpus (decode via the shared codec spec), for the frontier's
-    # validated id set — an independent path around the fetch/decode stages.
-    feat_rows = []
-    store = corpus.set_index("image_id")
+        anns = pq.read_table(f"{self.fixture}/announcements.parquet").to_pandas()
+        with open(f"{self.fixture}/meta.json") as f:
+            dates = [date.fromisoformat(d) for d in json.load(f)["dates"]]
+        return oracle_impl.oracle_stage1(anns, dates, self.corpus)
+
+    @cached_property
+    def stage2(self) -> tuple[pd.DataFrame, pd.DataFrame]:
+        import oracle_impl
+
+        return oracle_impl.oracle_stage2(self.stage1, self.corpus)
+
+    @cached_property
+    def docs(self) -> pd.DataFrame:
+        return pq.read_table(f"{SF_DIR}/documents.parquet",
+                             columns=["doc_id", "text"]).to_pandas()
+
+    @cached_property
+    def emb(self) -> pd.DataFrame:
+        return pq.read_table(f"{SF_DIR}/embeddings.parquet",
+                             columns=["vec_id", "embedding"]).to_pandas()
+
+
+def decode_pass(inputs: Inputs, accs: list) -> int:
+    """Decode every golden-frontier image once, in frontier order, and feed
+    it to each accumulator. An empty payload is skipped; so is one the codec
+    rejects (ValueError, or NotImplementedError for a real-codec format).
+    → the number of images decoded."""
     from cninfo_crawler_ray.functions import codecs as CC
 
-    for url in frontier["PDF链接"]:
-        iid = url.rsplit("/", 1)[-1].rsplit(".", 1)[0]
-        blob = bytes(store.loc[iid]["bytes"])
-        if not blob:
-            continue
-        try:
-            px, fmt, _ = CC.decode_image(blob)
-        except Exception:
-            continue
-        h, w = px.shape[:2]
-        g = px[: h - h % 2, : w - w % 2].reshape(2, h // 2, 2, w // 2, 3).mean(axis=(1, 3))
-        q = np.round(g.mean(axis=2)).astype(np.int64).flatten()
-        feat_rows.append((iid, *q))
-    g_feat = pd.DataFrame(feat_rows, columns=["image_id", "f00", "f01", "f10", "f11"])
-
-    # luma-histogram golden: per-image mean Rec.709 luma ×10⁴, computed by
-    # the CHANNEL-SUM factorization (2126·ΣR + 7152·ΣG + 722·ΣB — the
-    # engine sums per-pixel lumas; identical exact integers, different
-    # path), floor-divided mean, 10-unit buckets.
-    # dominant-color golden: 64-bucket (2 bits/channel) counts via
-    # np.unique with an explicit min-over-maxima tie rule (the engine's
-    # bincount argmax).
-    luma_counts: dict[int, int] = {}
-    dom_counts: dict[int, int] = {}
-    for url in frontier["PDF链接"]:
+    store = inputs.corpus.set_index("image_id")
+    n = 0
+    for url in inputs.golden("crawl_frontier")["PDF链接"]:
         iid = url.rsplit("/", 1)[-1].rsplit(".", 1)[0]
         blob = bytes(store.loc[iid]["bytes"])
         if not blob:
             continue
         try:
             px, _, _ = CC.decode_image(blob)
-        except Exception:
+        except (ValueError, NotImplementedError):
             continue
-        p = px.astype(np.int64)
-        s = (2126 * int(p[:, :, 0].sum()) + 7152 * int(p[:, :, 1].sum())
-             + 722 * int(p[:, :, 2].sum()))
-        mean10k = s // (px.shape[0] * px.shape[1])
-        b = mean10k // 100_000
-        luma_counts[b] = luma_counts.get(b, 0) + 1
-        qv = ((p[:, :, 0] >> 6) << 4) | ((p[:, :, 1] >> 6) << 2) | (p[:, :, 2] >> 6)
-        vals, cnts = np.unique(qv.ravel(), return_counts=True)
-        mx = cnts.max()
-        dom = int(min(v for v, c in zip(vals, cnts) if c == mx))
-        dom_counts[dom] = dom_counts.get(dom, 0) + 1
-    g_luma = (pd.DataFrame(sorted(luma_counts.items()), columns=["bucket", "n"])
-              .astype({"bucket": "int64", "n": "int64"}))
-    g_dom = (pd.DataFrame(sorted(dom_counts.items()), columns=["bucket", "n"])
-             .astype({"bucket": "int64", "n": "int64"}))
+        for acc in accs:
+            acc.add(iid, px)
+        n += 1
+        if n % 1000 == 0:
+            print(f"  {n} images", flush=True)
+    return n
 
-    # region-near-dup golden: per-quadrant region signature (avg-hash +
-    # mean//8 + var//64) over the same frontier image set, pairs via a
-    # plain dict bucket index (no LSH machinery) — counts of matching
-    # quadrant positions per unordered pair.
-    qbuckets: dict[str, list[str]] = {}
-    for url in frontier["PDF链接"]:
-        iid = url.rsplit("/", 1)[-1].rsplit(".", 1)[0]
-        blob = bytes(store.loc[iid]["bytes"])
-        if not blob:
-            continue
-        try:
-            px, _, _ = CC.decode_image(blob)
-        except Exception:
-            continue
-        h, w = px.shape[:2]
-        for qi, (r0, r1, c0, c1) in enumerate(
-                ((0, h // 2, 0, w // 2), (0, h // 2, w // 2, w),
-                 (h // 2, h, 0, w // 2), (h // 2, h, w // 2, w))):
-            qq = px[r0:r1, c0:c1]
-            gg = qq.astype(np.float32).mean(axis=2)
-            qbuckets.setdefault(
-                f"{qi}:{CC.phash64(qq)}:{int(gg.mean()) // 8}:{int(gg.var()) // 64}",
-                []).append(iid)
-    pair_counts: dict[tuple[str, str], int] = {}
-    for members in qbuckets.values():
-        ms = sorted(members)
-        for i in range(len(ms)):
-            for j in range(i + 1, len(ms)):
-                if ms[i] != ms[j]:
-                    pair_counts[(ms[i], ms[j])] = pair_counts.get((ms[i], ms[j]), 0) + 1
-    g_region = (pd.DataFrame(
-        [(a, b, n) for (a, b), n in pair_counts.items()],
-        columns=["image_a", "image_b", "n_quads"])
-        .astype({"n_quads": "int64"})
-        .sort_values(["image_a", "image_b"]).reset_index(drop=True))
 
-    # image-thumbnails golden: independent area-mean resize — explicit
-    # per-output-pixel box loop with slicing means (the engine uses a
-    # summed-area table; same spec boxes floor(i*h/oh)..floor((i+1)*h/oh),
-    # degenerate boxes widened to one row/col) — then the shared container
-    # encoder and a crc32.
-    import zlib
+def build(names: list[str]) -> dict[str, pd.DataFrame]:
+    inputs = Inputs()
+    accs = {n: PER_IMAGE[n]() for n in names if n in PER_IMAGE}
+    if accs:
+        n = decode_pass(inputs, list(accs.values()))
+        print(f"decoded {n} frontier images once for {len(accs)} per-image oracles")
+    out = {n: acc.frame() for n, acc in accs.items()}
+    for n in names:
+        if n in WHOLE_SET:
+            out[n] = inputs.golden(n)
+    return {n: out[n] for n in names}
 
-    def oracle_resize(px, oh, ow):
-        hh, ww = px.shape[:2]
-        out = np.empty((oh, ow, 3), dtype=np.uint8)
-        for i in range(oh):
-            r0, r1 = (i * hh) // oh, max(((i + 1) * hh) // oh, (i * hh) // oh + 1)
-            for j in range(ow):
-                c0, c1 = (j * ww) // ow, max(((j + 1) * ww) // ow, (j * ww) // ow + 1)
-                out[i, j] = np.round(
-                    px[r0:r1, c0:c1].astype(np.float64).mean(axis=(0, 1)))
-        return out
 
-    th_rows = []
-    for url in frontier["PDF链接"]:
-        iid = url.rsplit("/", 1)[-1].rsplit(".", 1)[0]
-        blob = bytes(store.loc[iid]["bytes"])
-        if not blob:
-            continue
-        try:
-            px, _, _ = CC.decode_image(blob)
-        except Exception:
-            continue
-        th = oracle_resize(px, 8, 8)
-        enc = CC.encode_image(th, "raw")
-        th_rows.append((iid, zlib.crc32(enc), float(th.mean())))
-    g_thumbs = (pd.DataFrame(th_rows,
-                             columns=["image_id", "thumb_crc32", "thumb_mean"])
-                .astype({"thumb_crc32": "int64"})
-                .sort_values("image_id").reset_index(drop=True))
+def check(goldens: dict[str, pd.DataFrame]) -> list[str]:
+    """Each golden against its ``queries()`` entries at sf0.01, by the gate's
+    rule → the names of the entries that differ."""
+    from check_oracle import canon, load_entry, to_df
 
-    # cross-check the goldens against the ENGINE before committing them —
-    # oracle and engine must agree at this scale or the golden is wrong
-    import importlib.util
+    q = load_entry().queries()
+    bad = []
+    for name, want in goldens.items():
+        _, want_hash = canon(want)
+        for entry in (name, *ALSO_CHECKED.get(name, ())):
+            ok = canon(to_df(q[entry](SF_DIR)))[1] == want_hash
+            print(f"{'OK ' if ok else 'FAIL'} engine vs golden {name}: "
+                  f"{entry} ({len(want)} rows)", flush=True)
+            if not ok:
+                bad.append(entry)
+    return bad
 
-    spec = importlib.util.spec_from_file_location("__ray_entry__", "/root/repo/__ray_entry__.py")
-    m = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(m)
-    q = m.queries()
-    sf = "/root/testdata/sf0.01"
 
-    def canon(df: pd.DataFrame) -> pd.DataFrame:
-        df = df[sorted(df.columns)].reset_index(drop=True)
-        return df.sort_values(list(df.columns), kind="stable").reset_index(drop=True)
-
-    checks = [
-        ("crawl_frontier", q["crawl_frontier"](sf).to_pandas(), g_frontier),
-        ("wide_report", q["wide_report"](sf), g_wide),
-        ("scheduled_crawl", q["scheduled_crawl"](sf), g_wide),
-        ("fetch_decode_stats", q["fetch_decode_stats"](sf), g_stats),
-        ("phash_near_dup", q["phash_near_dup"](sf), g_phash),
-        ("image_dup_clusters", q["image_dup_clusters"](sf).to_pandas(), g_img_cc),
-        ("image_features", q["image_features"](sf).to_pandas(), g_feat),
-        ("image_region_near_dup", q["image_region_near_dup"](sf), g_region),
-        ("image_thumbnails", q["image_thumbnails"](sf), g_thumbs),
-        ("image_luma_histogram", q["image_luma_histogram"](sf).to_pandas(), g_luma),
-        ("image_dominant_color", q["image_dominant_color"](sf).to_pandas(), g_dom),
-    ]
-    for name, got, want in checks:
-        pd.testing.assert_frame_equal(canon(got), canon(want), check_dtype=True)
-        print(f"engine == oracle golden: {name} ({len(want)} rows)")
-
+def write(goldens: dict[str, pd.DataFrame]) -> None:
     os.makedirs(GOLDEN_DIR, exist_ok=True)
-    pq.write_table(pa.Table.from_pandas(g_frontier, preserve_index=False),
-                   f"{GOLDEN_DIR}/crawl_frontier.parquet")
-    pq.write_table(pa.Table.from_pandas(g_wide, preserve_index=False),
-                   f"{GOLDEN_DIR}/wide_report.parquet")
-    pq.write_table(pa.Table.from_pandas(g_stats, preserve_index=False),
-                   f"{GOLDEN_DIR}/fetch_decode_stats.parquet")
-    pq.write_table(pa.Table.from_pandas(g_phash, preserve_index=False),
-                   f"{GOLDEN_DIR}/phash_near_dup.parquet")
-    pq.write_table(pa.Table.from_pandas(g_img_cc, preserve_index=False),
-                   f"{GOLDEN_DIR}/image_dup_clusters.parquet")
-    pq.write_table(pa.Table.from_pandas(g_region, preserve_index=False),
-                   f"{GOLDEN_DIR}/image_region_near_dup.parquet")
-    pq.write_table(pa.Table.from_pandas(g_feat, preserve_index=False),
-                   f"{GOLDEN_DIR}/image_features.parquet")
-    pq.write_table(pa.Table.from_pandas(g_thumbs, preserve_index=False),
-                   f"{GOLDEN_DIR}/image_thumbnails.parquet")
-    pq.write_table(pa.Table.from_pandas(g_luma, preserve_index=False),
-                   f"{GOLDEN_DIR}/image_luma_histogram.parquet")
-    pq.write_table(pa.Table.from_pandas(g_dom, preserve_index=False),
-                   f"{GOLDEN_DIR}/image_dominant_color.parquet")
-    print(f"goldens written to {GOLDEN_DIR}")
-    ray.shutdown()
+    for name, df in goldens.items():
+        table = pa.Table.from_pandas(df, preserve_index=False)
+        if name in NO_SCHEMA_METADATA:
+            table = table.replace_schema_metadata(None)
+        pq.write_table(table, os.path.join(GOLDEN_DIR, f"{name}.parquet"))
+
+
+def main(argv: list[str]) -> int:
+    names = argv or GOLDENS
+    unknown = sorted(set(names) - set(GOLDENS))
+    if unknown:
+        raise SystemExit(f"unknown golden(s) {unknown}; known: {GOLDENS}")
+
+    import ray
+
+    t0 = time.time()
+    # Ray workers import the package from the repo root
+    os.environ["PYTHONPATH"] = os.pathsep.join(
+        p for p in (ROOT, os.environ.get("PYTHONPATH")) if p)
+    ray.init(address="local", num_cpus=4, include_dashboard=False,
+             log_to_driver=False)
+    try:
+        goldens = build(names)
+        bad = check(goldens)
+        if bad:
+            print(f"engine != golden for {bad}; nothing written", file=sys.stderr)
+            return 1
+        write(goldens)
+    finally:
+        ray.shutdown()
+    print(f"{len(goldens)} goldens written to {GOLDEN_DIR} ({time.time() - t0:.0f}s)")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(main(sys.argv[1:]))

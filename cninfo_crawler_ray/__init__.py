@@ -10,7 +10,9 @@ re-expressed over ``ray.data.Dataset`` pipelines:
   per-host token-bucket politeness),
 - ``groupby``/``map_groups`` shuffles for dedup, per-key keep-latest, and
   long→wide pivoting,
-- per-partition checkpoints (url-sha1 hash ranges) with lineage records.
+- checkpointed resume through one commit protocol (``state/storage.py``):
+  each scheduler round commits its parquet with a lineage record
+  (admitted URLs per url-sha1 hash range, file names).
 
 The authoritative input is a table of image+caption pairs
 ``(image_id, bytes, w, h, fmt, caption, phash)`` per BASELINE.json's

@@ -124,7 +124,7 @@ def _cmd_collect(args) -> int:
         print(f"collect: discovered {csv_file}"
               + (f" (dates {info['start_date_str']}-{info['end_date_str']},"
                  f" type {info['report_type']})" if info else ""))
-    frontier = stage1.frontier_from_csv(csv_file, cfg)
+    frontier = stage1.frontier_from_csv(csv_file)
     save_dir = args.save_payloads
     if save_dir is None and not args.no_download and sys.stdin.isatty():
         if _ask_download_mode():
@@ -164,27 +164,20 @@ def _cmd_collect(args) -> int:
 
 def _cmd_export(args) -> int:
     """Training-data export sink: run the curation/export chain once, then
-    write each shard's survivor rows as parquet under ``shard=K/`` with a
-    per-shard lineage record (rows, tokens) in ``manifest.json``. The
-    commit marker per shard is the directory rename (write to ``.tmp``,
-    rename on success), so a killed export resumes by skipping every shard
-    already in the manifest — the generic form of the crawl checkpoints'
-    resumable partitioned output."""
-    import json
-    import shutil
-
+    commit each shard's survivor rows as parquet under ``shard=K/`` through
+    the checkpoint storage protocol (state/storage.py), with the shard's
+    lineage record (rows, tokens) in its ``_COMMITTED`` file. A rerun skips
+    every shard whose record exists, so a killed export resumes where it
+    stopped — the same commit as the scheduler's rounds."""
     from ray.data.aggregate import Count, Sum
 
     from .pipelines.queries import export_survivors
+    from .state.storage import storage_for
 
     t0 = time.time()
     out = args.out_dir
-    os.makedirs(out, exist_ok=True)
-    mpath = os.path.join(out, "manifest.json")
-    manifest = {"shards": {}}
-    if os.path.exists(mpath):
-        with open(mpath) as f:
-            manifest = json.load(f)
+    st = storage_for(out)
+    st.makedirs(out)
 
     surv = export_survivors(args.sf_dir, n_shards=args.n_shards).materialize()
     stats = (surv.groupby("shard")
@@ -193,26 +186,14 @@ def _cmd_export(args) -> int:
 
     written = skipped = 0
     for k in range(args.n_shards):
-        key = str(k)
-        sdir = os.path.join(out, f"shard={k}")
-        if key in manifest["shards"] and os.path.isdir(sdir):
+        name = f"shard={k}"
+        if st.read_record(out, name) is not None:
             skipped += 1
             continue
-        tmp = sdir + ".tmp"
-        for d in (tmp, sdir):
-            if os.path.isdir(d):
-                shutil.rmtree(d)
-        part = surv.filter(expr=f"shard == {k}")
-        part.write_parquet(tmp)
-        os.rename(tmp, sdir)  # the commit marker
-        manifest["shards"][key] = {
-            "path": f"shard={k}",
-            "rows": int(stats["rows"].get(k, 0)),
-            "tokens": int(stats["tokens"].get(k, 0)),
-        }
-        with open(mpath + ".tmp", "w") as f:
-            json.dump(manifest, f, indent=1, sort_keys=True)
-        os.replace(mpath + ".tmp", mpath)
+        staging = st.begin_round(out, name)
+        surv.filter(expr=f"shard == {k}").write_parquet(st.ray_path(staging))
+        st.commit_round(out, name, {"rows": int(stats["rows"].get(k, 0)),
+                                    "tokens": int(stats["tokens"].get(k, 0))})
         written += 1
 
     total_rows = int(stats["rows"].sum())

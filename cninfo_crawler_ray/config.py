@@ -25,9 +25,11 @@ class CrawlConfig:
     host_rate: float = 1000.0
     host_burst: int = 2000
 
-    # --- partitioning / state sharding ---
-    num_partitions: int = 16       # url-sha1 hash-range checkpoint partitions
-    seen_shards: int = 8           # seen-set actor shards
+    # --- state sharding ---
+    #: url-sha1 hash ranges (``state/seen.shard_of``): one seen-set shard
+    #: and one frontier heap shard per range; each round's lineage record
+    #: counts its admitted URLs per range
+    seen_shards: int = 8
     #: bound on each frontier heap shard's in-memory rows; past it the
     #: low-priority tail spills to sorted parquet (pop order unchanged —
     #: state/frontier.py). None = unbounded (sandbox default; a 10^10-URL

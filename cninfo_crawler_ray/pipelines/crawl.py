@@ -86,7 +86,7 @@ def run_crawl(
                 if len(df) == 0:
                     return df
                 raw = bytes.fromhex("".join(df["url_sha1"]))
-                return df[admit(self.shards, raw, df["order_key"].to_numpy())]
+                return df[admit(self.shards, raw)]
 
         frontier = frontier.map_batches(
             Admit, fn_constructor_args=(seen.shards,), batch_format="pandas",

@@ -1634,7 +1634,8 @@ def q_export_pipeline(sf_dir: str, min_tokens: int = 30, n_shards: int = 8,
     """Per-shard export stats over :func:`export_survivors` (see there for
     the full chain) — O(shards) output rows, what a shard-file writer needs
     to plan capacity. The CLI ``export`` subcommand writes the survivor
-    rows themselves as per-shard parquet with a resume manifest."""
+    rows themselves as per-shard parquet, each shard committed with its
+    lineage record (state/storage.py)."""
     surv = export_survivors(sf_dir, min_tokens=min_tokens, n_shards=n_shards,
                             n=n, bench_source=bench_source)
 

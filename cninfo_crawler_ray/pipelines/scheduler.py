@@ -52,6 +52,7 @@ from ..config import CrawlConfig
 from ..state.frontier import ShardedFrontier, push_rows
 from ..state.politeness import PolitenessGate
 from ..state.seen import ShardedSeenSet, admit
+from ..state.storage import round_name, storage_for
 from . import stage1, stage2
 
 #: hard bound on consecutive fully-denied waves. With min-refill clock
@@ -85,21 +86,33 @@ class _SeedBatch:
                                  "total": pd.Series([], dtype="int64")})
         df = df[self.columns]  # canonical column order for heap row layout
         raw = bytes.fromhex("".join(df["url_sha1"]))
-        adm = df[admit(self.seen_shards, raw, df["order_key"].to_numpy())]
+        adm = df[admit(self.seen_shards, raw)]
         push_rows(self.frontier_shards, adm, self.dtypes)
         return pd.DataFrame({"admitted": [len(adm)], "total": [len(df)]})
 
 
-def _write_round(long_round: rd.Dataset, st, rounds_dir: str,
-                 round_no: int) -> None:
-    """Workers write the round's long rows; the storage backend supplies the
-    commit protocol — atomic dir rename on POSIX (state/storage.py
-    LocalStorage), _COMMITTED marker object on stores without atomic rename
-    (FsspecStorage). A partial round left by a kill is garbage-collected on
-    resume either way."""
-    staging = st.begin_round(rounds_dir, round_no)
+def _write_round(long_round: rd.Dataset, st, rounds_dir: str, round_no: int,
+                 record: dict) -> None:
+    """Workers write the round's long rows; the storage backend commits them
+    with the round's lineage record (state/storage.py) — atomic dir rename
+    on POSIX, the record as a marker object on stores without atomic
+    rename."""
+    name = round_name(round_no)
+    staging = st.begin_round(rounds_dir, name)
     long_round.write_parquet(st.ray_path(staging))
-    st.commit_round(rounds_dir, round_no)
+    st.commit_round(rounds_dir, name, record)
+
+
+def _check_lineage(st, rounds_dir: str, rounds: int, counters: dict) -> None:
+    """On resume, every round the state marks done must have its commit
+    record, and the record must agree with the state's own schedule."""
+    for r in range(1, rounds + 1):
+        rec = st.read_record(rounds_dir, round_name(r))
+        if (rec is None or rec["tick"] != counters["round_ticks"][r - 1]
+                or sum(rec["admitted"]) != counters["round_admitted"][r - 1]):
+            raise ValueError(
+                f"checkpoint round {r}: commit record {rec!r} is missing or "
+                f"disagrees with state.pkl")
 
 
 def run_scheduled_crawl(
@@ -118,14 +131,17 @@ def run_scheduled_crawl(
     politeness waits, dead letters). Ray must already be initialised by the
     caller.
 
-    ``ckpt_dir`` enables checkpointed resume (north rule): after every round
-    the round's long rows (parquet, worker-written) plus snapshots of
-    frontier heap shards, seen-set shards and the politeness gate's virtual
-    clock are flushed atomically. A killed job rerun with the same
-    ``ckpt_dir`` restores the state, leaves completed rounds' parquet on
-    disk untouched (never re-read into driver memory), and finishes with
-    byte-identical outputs (tests/test_scheduler.py). ``max_rounds``
-    simulates the kill.
+    ``ckpt_dir`` enables checkpointed resume (north rule): every round's
+    long rows (parquet, worker-written) commit under ``rounds/`` with the
+    round's lineage record — round number, gate tick, admitted URLs per
+    hash range and the round's file names (state/storage.py) — and only
+    then are snapshots of the frontier heap shards, seen-set shards and the
+    politeness gate's virtual clock flushed to ``state.pkl``. A killed job
+    rerun with the same ``ckpt_dir`` checks each done round's record
+    against the state (a mismatch raises ValueError), restores the state,
+    leaves completed rounds' parquet on disk untouched (never re-read into
+    driver memory), and finishes with byte-identical outputs
+    (tests/test_scheduler.py). ``max_rounds`` simulates the kill.
 
     ``gate_overrides`` maps host → (rate_per_second, burst);
     ``robots`` maps host → disallow path-prefix list. Both default empty.
@@ -156,8 +172,6 @@ def run_scheduled_crawl(
     rounds = 0
     seen = ShardedSeenSet(cfg.seen_shards)
 
-    from ..state.storage import storage_for
-
     state_path = rounds_dir = None
     own_rounds_dir = None
     if ckpt_dir:
@@ -176,13 +190,12 @@ def run_scheduled_crawl(
     if state_path and storage.exists(state_path):
         # resume: restore frontier/seen/gate; completed rounds stay on disk
         st = pickle.loads(storage.read_bytes(state_path))
+        _check_lineage(storage, rounds_dir, st["rounds"], st["counters"])
         fr.restore(st["frontier"])
         seen.restore(st["seen"])
         gate.restore(st["gate"])
         rounds = st["rounds"]
         counters.update(st["counters"])
-        # garbage-collect any half-written round from the kill
-        storage.gc_partial_rounds(rounds_dir)
     else:
         # materialized: the head read and the seeding map below each
         # consume it, and a lazy plan would run stage 1 once per read
@@ -234,7 +247,8 @@ def run_scheduled_crawl(
         decoded = stage2.fetch_decode(ds, corpus_path, cfg, concurrency=concurrency,
                                       nrows_hint=n_admitted)
         _write_round(stage2.long_from_decoded(decoded), storage, rounds_dir,
-                     rounds)
+                     rounds, {"round": rounds, "tick": gate.now_tick,
+                              "admitted": verdict["admitted"]})
         counters["rounds"] = rounds
         if ckpt_dir:
             # round data is durably committed; now the state that marks it done

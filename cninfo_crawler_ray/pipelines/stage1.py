@@ -38,26 +38,24 @@ import ray.data as rd
 from ..config import CrawlConfig
 from ..functions.bucketed import _pa_from_pandas, bucketed_map_groups
 from ..functions import kernels, urls as U
-from ..schemas import FRONTIER_CSV_COLUMNS
+from ..schemas import FRONTIER_CSV_COLUMNS, FRONTIER_SCHEMA
 from ..stages.fetch import Prober
 from ..stages.listing import ListingEnumerator
-from ..state.seen import shard_of
 
 
-def _prepare_candidates(batch: pa.Table, years: list[int], num_partitions: int) -> pa.Table:
+def _prepare_candidates(batch: pa.Table, years: list[int]) -> pa.Table:
     """Vectorized normalize/filter/hash (M1-M5 + url canon + sha1)."""
     if batch.num_rows == 0:
-        return _empty_candidates()
+        return FRONTIER_SCHEMA.empty_table()
     keep = kernels.title_keep_mask(batch["announcementTitle"], years)
     t = batch.filter(keep)
     if t.num_rows == 0:
-        return _empty_candidates()
+        return FRONTIER_SCHEMA.empty_table()
     codes = kernels.normalize_sec_code(t["secCode"])
     dates = kernels.decode_announcement_time(t["announcementTime"])
     url_raw = pd.Series(["https://" + u for u in t["adjunctUrl"].to_pylist()])
     url_canon = U.canonicalize(url_raw)
     sha = U.sha1_hex(url_canon)
-    part = shard_of(bytes.fromhex("".join(sha)), num_partitions).astype(np.int32)
     host = U.host_of(url_canon)
     # priority = disclosure-date recency × seed rank (north rule): more
     # recent reports and earlier-ranked exchanges fetch first.
@@ -76,24 +74,6 @@ def _prepare_candidates(batch: pa.Table, years: list[int], num_partitions: int) 
             "host": pa.array(host.tolist(), pa.string()),
             "priority": pa.array(priority, pa.float64()),
             "order_key": t["order_key"],
-            "partition_id": pa.array(part, pa.int32()),
-        }
-    )
-
-
-def _empty_candidates() -> pa.Table:
-    return pa.table(
-        {
-            "股票代码": pa.array([], pa.string()),
-            "公司名称": pa.array([], pa.string()),
-            "财报名称": pa.array([], pa.string()),
-            "报告日期": pa.array([], pa.string()),
-            "PDF链接": pa.array([], pa.string()),
-            "url_sha1": pa.array([], pa.string()),
-            "host": pa.array([], pa.string()),
-            "priority": pa.array([], pa.float64()),
-            "order_key": pa.array([], pa.int64()),
-            "partition_id": pa.array([], pa.int32()),
         }
     )
 
@@ -230,7 +210,7 @@ def build_frontier(
     )
     cands = anns.map_batches(
         _prepare_candidates,
-        fn_kwargs={"years": years, "num_partitions": cfg.num_partitions},
+        fn_kwargs={"years": years},
         batch_format="pyarrow",
     )
     probed = cands.map_batches(
@@ -271,16 +251,13 @@ def write_frontier_csv(frontier: rd.Dataset, path: str) -> pd.DataFrame:
     return view
 
 
-def frontier_from_csv(path: str, config: CrawlConfig | None = None) -> rd.Dataset:
+def frontier_from_csv(path: str) -> rd.Dataset:
     """S6 → stage-2 bridge: rebuild the engine's frontier columns from the
     reference's 5-column CSV artifact. The reference reads the CSV all-string
     and fetches in row order (report_info_collection.py:598-648); here
     ``order_key`` is the CSV row index (the CSV is written in canonical
-    order) and url_sha1/host/partition_id re-derive from the URL, so the
-    CSV hand-off composes with every downstream stage including checkpoints."""
-    import numpy as np
-
-    cfg = config or CrawlConfig()
+    order) and url_sha1/host re-derive from the URL, so the CSV hand-off
+    composes with every downstream stage."""
     df = read_frontier_csv(path).to_pandas()  # reference artifact: small
     url = pd.Series(df["PDF链接"], dtype=object)
     canon = U.canonicalize(url)
@@ -294,8 +271,6 @@ def frontier_from_csv(path: str, config: CrawlConfig | None = None) -> rd.Datase
         host=U.host_of(canon).tolist(),
         priority=days_np,
         order_key=np.arange(len(df), dtype=np.int64),
-        partition_id=shard_of(bytes.fromhex("".join(sha)),
-                              cfg.num_partitions).astype(np.int32),
     )
     return rd.from_arrow(_pa_from_pandas(df))
 

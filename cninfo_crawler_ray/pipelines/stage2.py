@@ -1,5 +1,4 @@
-"""Stage 2 — frontier → fetch → decode/validate/extract → long + wide tables,
-with per-partition checkpoints and lineage for byte-identical resume.
+"""Stage 2 — frontier → fetch → decode/validate/extract → long + wide tables.
 
 Ray-Data shape (SURVEY.md §3.2 traced → §7.6-7.8):
 
@@ -12,14 +11,12 @@ Ray-Data shape (SURVEY.md §3.2 traced → §7.6-7.8):
 from them; the wide pivot runs on ``functions/bucketed``'s keyed-reduce
 skeleton, its partition count sized from the long row count.
 
-Checkpointing: the frontier is already partitioned by url-sha1 hash range
-(``partition_id``). ``run_stage2`` processes partitions in groups; each
-completed group writes its long rows under ``<ckpt>/long/part=<id>/`` plus a
-lineage record (rows, bytes_fetched, counters) in ``manifest.json``. A rerun
-skips completed partitions (J4/T4: the Ray-native version of the reference's
-skip-if-file-exists cache, report_info_collection.py:241-249). Because every
-row's placement and order are pure functions of (url_sha1, order_key), the
-resumed output is byte-identical to an uninterrupted run (SURVEY.md §4.4).
+Checkpointed resume is the round scheduler's (pipelines/scheduler.py): each
+round's long rows commit through state/storage.py with a lineage record,
+and every row's placement and order are pure functions of (url_sha1,
+order_key), so a resumed crawl is byte-identical to an uninterrupted one
+(SURVEY.md §4.4). The payload sink here keeps the reference's own
+skip-if-file-exists resume (report_info_collection.py:241-249).
 """
 
 from __future__ import annotations
@@ -92,7 +89,6 @@ def _explode_long(batch: pa.Table) -> pa.Table:
             "_has_data_resource": flags,
             "order_key": rep("order_key"),
             "_item": pa.array(item_idx, pa.int64()),
-            "partition_id": rep("partition_id"),
             "url_sha1": rep("url_sha1"),
         }
     )
@@ -203,7 +199,7 @@ def wide_from_long(long_ds: rd.Dataset) -> rd.Dataset:
 
 
 # ---------------------------------------------------------------------------
-# checkpointed execution
+# sinks
 # ---------------------------------------------------------------------------
 
 class _PayloadExporter:
@@ -276,115 +272,6 @@ def export_payloads(frontier: rd.Dataset, corpus_path: str, out_dir: str,
         concurrency=cfg.fetch_actors,
         num_cpus=cfg.actor_num_cpus,
     )
-
-
-def _manifest_path(ckpt_dir: str) -> str:
-    return os.path.join(ckpt_dir, "manifest.json")
-
-
-def load_manifest(ckpt_dir: str) -> dict:
-    p = _manifest_path(ckpt_dir)
-    if os.path.exists(p):
-        with open(p) as f:
-            return json.load(f)
-    return {"partitions": {}}
-
-
-def _record_partition(ckpt_dir: str, partition_id: int, lineage: dict) -> None:
-    """Atomic manifest update (write tmp + rename)."""
-    m = load_manifest(ckpt_dir)
-    m["partitions"][str(partition_id)] = lineage
-    tmp = _manifest_path(ckpt_dir) + ".tmp"
-    with open(tmp, "w") as f:
-        json.dump(m, f, indent=1)
-    os.replace(tmp, _manifest_path(ckpt_dir))
-
-
-def run_stage2_checkpointed(
-    frontier: rd.Dataset,
-    corpus_path: str,
-    ckpt_dir: str,
-    cfg: CrawlConfig | None = None,
-    *,
-    group_size: int = 4,
-    max_groups: int | None = None,
-) -> list[int]:
-    """Process pending url-hash partitions in groups; returns the partition
-    ids completed THIS run. ``max_groups`` lets tests simulate a kill.
-
-    Scale shape (VERDICT r01 §4): the frontier and each group's long rows
-    live as DISTRIBUTED materialized Datasets (object-store blocks, spilled
-    as needed) — never driver pandas frames — and every partition's parquet
-    is written by the workers (``Dataset.write_parquet``). The atomic commit
-    marker per partition is the directory rename; lineage counts are
-    computed with distributed aggregates."""
-    import shutil
-
-    import pyarrow.compute as pc
-
-    cfg = cfg or CrawlConfig()
-    os.makedirs(os.path.join(ckpt_dir, "long"), exist_ok=True)
-    done = {int(k) for k in load_manifest(ckpt_dir)["partitions"]}
-    pending = sorted(set(range(cfg.num_partitions)) - done)
-    groups = [pending[i : i + group_size] for i in range(0, len(pending), group_size)]
-    if max_groups is not None:
-        groups = groups[:max_groups]
-    completed = []
-    # one pass over the frontier; group filters read from object-store blocks
-    fsrc = frontier.materialize()
-    for grp in groups:
-        vs = pa.array(grp, pa.int32())
-        sub = fsrc.map_batches(
-            lambda t, vs=vs: t.filter(pc.is_in(t["partition_id"], value_set=vs)),
-            batch_format="pyarrow",
-        )
-        decoded = fetch_decode(sub, corpus_path, cfg)
-        long_grp = long_from_decoded(decoded).materialize()
-        for pid in grp:
-            part = long_grp.map_batches(
-                lambda t, p=pid: t.filter(pc.equal(t["partition_id"], p)),
-                batch_format="pyarrow",
-            ).sort(["order_key", "_item"]).materialize()
-            rows = part.count()
-            pdir = os.path.join(ckpt_dir, "long", f"part={pid}")
-            tmp = pdir + ".tmp"
-            if os.path.exists(tmp):
-                shutil.rmtree(tmp)
-            if rows:
-                part.write_parquet(tmp)  # workers write; driver only renames
-                n_docs = part.select_columns(["PDF链接"]).groupby("PDF链接").count().count()
-            else:
-                os.makedirs(tmp, exist_ok=True)
-                n_docs = 0
-            if os.path.exists(pdir):
-                shutil.rmtree(pdir)
-            os.replace(tmp, pdir)
-            _record_partition(
-                ckpt_dir,
-                pid,
-                {
-                    "rows": int(rows),
-                    "bytes_fetched": 0,
-                    "url_range": [f"{pid:02x}", f"{pid + 1:02x}"],
-                    "counters": {"long_rows": int(rows), "docs": int(n_docs)},
-                    "checkpoint_path": pdir,
-                },
-            )
-            completed.append(pid)
-    return completed
-
-
-def read_long_checkpoint(ckpt_dir: str) -> rd.Dataset:
-    paths = []
-    m = load_manifest(ckpt_dir)
-    for pid in sorted(int(k) for k in m["partitions"]):
-        p = os.path.join(ckpt_dir, "long", f"part={pid}")
-        if os.path.isdir(p):
-            paths.extend(os.path.join(p, f) for f in sorted(os.listdir(p))
-                         if f.endswith(".parquet"))
-    from ..sources.readers import read_parquet_clean
-
-    return read_parquet_clean(paths)
 
 
 def write_excel_reports(long_df: pd.DataFrame, wide_df: pd.DataFrame,

@@ -111,19 +111,6 @@ FRONTIER_SCHEMA = pa.schema(
         ("host", pa.string()),
         ("priority", pa.float64()),
         ("order_key", pa.int64()),
-        ("partition_id", pa.int32()),
-    ]
-)
-
-#: Per-partition lineage record written with each checkpoint (SURVEY.md §4.4).
-LINEAGE_SCHEMA = pa.schema(
-    [
-        ("partition_id", pa.int32()),
-        ("rows", pa.int64()),
-        ("bytes_fetched", pa.int64()),
-        ("last_fetch_seq", pa.int64()),
-        ("checkpoint_path", pa.string()),
-        ("counters", pa.map_(pa.string(), pa.int64())),
     ]
 )
 

@@ -9,8 +9,8 @@ in Ray actor pools**, priority = disclosure-date recency × seed rank, so a
 
 Design:
 
-- one heap shard per url-sha1 hash range (same ranges as the seen-set and
-  checkpoint partitions — ONE partitioning key reused across all state),
+- one heap shard per url-sha1 hash range (``seen.shard_of``, the seen
+  set's ranges — ONE partitioning key reused across all state),
 - entries ordered by (-priority, order_key, insertion_seq): highest priority
   first, ties broken by the canonical crawl order (SURVEY.md §3.4). The
   insertion counter is a safety tiebreaker ONLY — ``order_key`` is unique

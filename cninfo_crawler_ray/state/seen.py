@@ -6,7 +6,7 @@ The reference's in-flight dedup is a driver-local Python ``set`` over a raw
 
 - keyed on SHA1(canonical URL) (north rule),
 - sharded by url-hash range across an actor pool (one shard = one hash
-  interval, same intervals as the checkpoint partitions),
+  interval, ``shard_of``; the frontier heap shards use the same intervals),
 - a cuckoo filter in front answers "definitely new" without touching the
   exact set; the exact per-shard set backs it so false positives can NEVER
   corrupt the *exact* URL-seen match the north rule demands (SURVEY.md §7.5),
@@ -31,13 +31,13 @@ import numpy as np
 def shard_of(raw: bytes, num_shards: int) -> np.ndarray:
     """Hash-range shard of each 20-byte SHA1 key concatenated in ``raw``:
     its leading big-endian u32 (a strided view — a key is five u32s) over
-    ``num_shards`` equal intervals. The one hash-range rule: stage 1's
-    checkpoint ``partition_id``, the seen set and the frontier heap."""
+    ``num_shards`` equal intervals. The one hash-range rule: the seen set,
+    the frontier heap and the per-range counts in each round's record."""
     width = (1 << 32) // num_shards + 1
     return np.frombuffer(raw, dtype=">u4")[::5].astype(np.int64) // width
 
 
-def admit(shards, raw: bytes, seqs=None) -> np.ndarray:
+def admit(shards, raw: bytes) -> np.ndarray:
     """Batch test-and-set of the 20-byte SHA1 keys concatenated in ``raw``
     against the seen-shard actors → is_new mask. A key's shard is
     ``shard_of``; each touched shard gets one RPC with its keys in row
@@ -45,13 +45,11 @@ def admit(shards, raw: bytes, seqs=None) -> np.ndarray:
     import ray
 
     shard = shard_of(raw, len(shards))
-    seqs = None if seqs is None else np.asarray(seqs)
     calls = []
     for s in np.unique(shard):
         idxs = np.flatnonzero(shard == s)
         calls.append((idxs, shards[s].contains_and_add.remote(
-            [raw[20 * i:20 * i + 20] for i in idxs],
-            None if seqs is None else seqs[idxs].tolist())))
+            [raw[20 * i:20 * i + 20] for i in idxs])))
     is_new = np.zeros(len(shard), dtype=bool)
     for idxs, fut in calls:
         is_new[idxs] = ray.get(fut)
@@ -60,7 +58,7 @@ def admit(shards, raw: bytes, seqs=None) -> np.ndarray:
 
 class CuckooFilter:
     """Minimal bucketed cuckoo filter (4-slot buckets, 1-byte fingerprints,
-    partial-key eviction). Supports add/may_contain/remove; ~2-3% false-positive
+    partial-key eviction). Supports add/may_contain; ~2-3% false-positive
     rate at default load, which is fine because an exact set sits behind it."""
 
     MAX_KICKS = 500
@@ -106,15 +104,6 @@ class CuckooFilter:
                 return True
         return False  # table full — callers fall through to the exact set
 
-    def remove(self, key: bytes) -> bool:
-        fp, i1, i2 = self._fp_and_buckets(key)
-        for i in (i1, i2):
-            if fp in self.buckets[i]:
-                self.buckets[i].remove(fp)
-                self.count -= 1
-                return True
-        return False
-
 
 class SeenShard:
     """One hash-range shard of the URL-seen set. Plain class — wrapped by
@@ -125,13 +114,12 @@ class SeenShard:
         self.filter = CuckooFilter(capacity)
         self.overflowed = False  # once full, "not in filter" stops meaning "new"
         self.exact: set[bytes] = set()
-        self.high_water_seq = -1
 
-    def contains_and_add(self, keys: list[bytes], seqs: list[int] | None = None) -> list[bool]:
+    def contains_and_add(self, keys: list[bytes]) -> list[bool]:
         """Batch test-and-set. Returns is_new per key. The cuckoo filter
         short-circuits definite-new keys; the exact set decides the rest."""
         out = []
-        for i, k in enumerate(keys):
+        for k in keys:
             if self.overflowed or self.filter.may_contain(k):
                 new = k not in self.exact  # maybe-seen → exact check
             else:
@@ -141,26 +129,16 @@ class SeenShard:
                 if not self.filter.add(k):
                     self.overflowed = True
             out.append(new)
-            if seqs is not None and seqs[i] > self.high_water_seq:
-                self.high_water_seq = seqs[i]
         return out
-
-    def discard(self, keys: list[bytes]) -> None:
-        """Retract admissions (stream-close rollback); cuckoo remove keeps the
-        filter honest (the deletion-support reason it beats bloom, §7)."""
-        for k in keys:
-            if k in self.exact:
-                self.exact.discard(k)
-                self.filter.remove(k)
 
     def size(self) -> int:
         return len(self.exact)
 
     def snapshot(self) -> bytes:
-        return pickle.dumps((self.shard_id, self.exact, self.high_water_seq))
+        return pickle.dumps((self.shard_id, self.exact))
 
     def restore(self, blob: bytes) -> None:
-        self.shard_id, self.exact, self.high_water_seq = pickle.loads(blob)
+        self.shard_id, self.exact = pickle.loads(blob)
         self.filter = CuckooFilter(max(len(self.exact) * 2, 1 << 10))
         self.overflowed = False
         for k in self.exact:
@@ -170,8 +148,8 @@ class SeenShard:
 
 class ShardedSeenSet:
     """Driver-side facade over a pool of SeenShard actors, sharded by the
-    leading bytes of the sha1 key (the same hash ranges as checkpoint
-    partitions). All calls are batch-per-shard."""
+    leading bytes of the sha1 key (``shard_of``, the frontier heap's hash
+    ranges too). All calls are batch-per-shard."""
 
     def __init__(self, num_shards: int, capacity_per_shard: int = 1 << 16):
         import ray
@@ -181,8 +159,8 @@ class ShardedSeenSet:
         actor = ray.remote(num_cpus=0)(SeenShard)
         self.shards = [actor.remote(i, capacity_per_shard) for i in range(num_shards)]
 
-    def contains_and_add(self, keys: list[bytes], seqs: list[int] | None = None) -> list[bool]:
-        return admit(self.shards, b"".join(keys), seqs).tolist()
+    def contains_and_add(self, keys: list[bytes]) -> list[bool]:
+        return admit(self.shards, b"".join(keys)).tolist()
 
     def total(self) -> int:
         import ray

@@ -1,46 +1,84 @@
-"""Checkpoint/rounds storage abstraction (VERDICT r03 item 5, ADVICE r02 #4).
+"""Checkpoint storage: the package's one commit protocol for resumable
+partitioned writes (VERDICT r03 item 5, ADVICE r02 #4).
 
-The scheduler's durability protocol — per-round parquet written by WORKERS,
-driver-side commit markers, state.pkl flushes, partial-round GC on resume —
-previously assumed a POSIX filesystem shared by every node (os.listdir +
-atomic ``os.replace`` dir rename). That is true on an NFS mount but not on
-an object-store mount (S3/GCS have no atomic directory rename). This module
-makes the storage contract a code path instead of a docstring caveat:
+A resumable write is a sequence of named *parts*: the scheduler's rounds
+(``round_00001`` …) and the CLI export's shards (``shard=K``). Ray Data
+workers write a part's parquet files; the driver then commits it. A
+committed part is a directory of parquet files plus one ``_COMMITTED`` file
+holding the part's lineage record as JSON: the record the caller passes to
+``commit_round``, plus ``files``, the part's parquet file names. Readers
+take their file lists from the record, so a stray file in a committed dir
+is never read.
 
-- :class:`LocalStorage` — os/shutil; commit = atomic ``os.replace`` of the
-  round's ``.tmp`` staging dir onto its final name (the exact protocol the
-  kill/resume byte-identity tests have pinned since round 2).
-- :class:`FsspecStorage` — any ``fsspec`` URL (``s3://…``, ``gs://…``,
-  ``file://…``). Object stores cannot rename a directory atomically, so the
-  commit protocol changes shape: workers write parquet straight into the
-  final round directory and the commit marker is a zero-byte
-  ``_COMMITTED`` object written AFTER every round file has landed (the
-  classic Hadoop/Spark output-committer marker). Resume garbage-collects
-  any round directory missing its marker. state.pkl is staged to
-  ``state.pkl.tmp`` then moved — best-effort on stores without atomic
-  rename, which is safe here because a torn state file only loses the LAST
-  round's mark and the resume recomputes that round deterministically
-  (same argument as the local rename/flush gap, scheduler._write_round).
+- :class:`LocalStorage` (bare paths; POSIX or NFS): the part is staged in
+  ``<name>.tmp``; the record is written into the staging dir, which is then
+  renamed onto its final name with one atomic ``os.replace``.
+- :class:`FsspecStorage` (``s3://…``, ``gs://…``, ``file://…``): object
+  stores cannot rename a directory atomically, so workers write straight
+  into the final dir and the record is written last, as the commit marker
+  (the Hadoop/Spark output-committer marker; one object PUT is atomic).
 
-``storage_for(path)`` picks the backend from the URL scheme; bare paths
-stay on :class:`LocalStorage`, so every existing caller and test is
-untouched. ``ray_path()`` translates a storage URL into the path Ray Data
-workers should read/write (``file://`` strips to a plain shared-FS path;
-object-store URLs pass through — Ray's parquet IO speaks fsspec natively).
+``begin_round`` always clears what an earlier attempt left under the
+part's name, committed or not. What is done is decided by the caller's own
+durable state, not by the marker: the scheduler flushes ``state.pkl`` only
+after a round's commit, so a kill between the two leaves round N committed
+while the state says N-1, and the resume recomputes round N
+(deterministically) into a cleared dir. ``state.pkl`` is staged to
+``state.pkl.tmp`` and moved (``write_bytes_atomic``): atomic on POSIX and
+``file://``, best effort on object stores, where a torn state file only
+loses the last round's mark and the resume recomputes that round.
+
+``storage_for(path)`` picks the backend from the URL scheme. ``ray_path()``
+translates a storage URL into the path Ray Data workers read and write
+(``file://`` strips to a plain shared-FS path; object-store URLs pass
+through — Ray's parquet IO speaks fsspec natively).
 """
 
 from __future__ import annotations
 
+import json
 import os
 import shutil
 
-__all__ = ["LocalStorage", "FsspecStorage", "storage_for"]
+__all__ = ["LocalStorage", "FsspecStorage", "round_name", "storage_for"]
+
+#: a committed part's record file; the ``_`` prefix keeps parquet dataset
+#: readers from taking it for data
+MARKER = "_COMMITTED"
 
 
-class LocalStorage:
+def round_name(round_no: int) -> str:
+    return f"round_{round_no:05d}"
+
+
+class _Storage:
+    """The commit protocol's backend-independent half: a part's record, and
+    the committed rounds' file lists read from their records."""
+
+    def _record_blob(self, part_dir: str, record: dict) -> bytes:
+        files = sorted(f for f in self._ls(part_dir) if f.endswith(".parquet"))
+        return json.dumps({**record, "files": files}, sort_keys=True).encode()
+
+    def read_record(self, parent: str, name: str) -> dict | None:
+        """The committed part's lineage record, or None if it is not
+        committed."""
+        path = self.join(parent, name, MARKER)
+        return json.loads(self.read_bytes(path)) if self.exists(path) else None
+
+    def round_files(self, rounds_dir: str, upto: int) -> list[str]:
+        """Parquet files of rounds 1..upto in round order, as each round's
+        record names them (read_parquet treats list entries as files)."""
+        files: list[str] = []
+        for r in range(1, upto + 1):
+            name = round_name(r)
+            d = self.join(rounds_dir, name)
+            files.extend(self.ray_path(self.join(d, f))
+                         for f in self.read_record(rounds_dir, name)["files"])
+        return files
+
+
+class LocalStorage(_Storage):
     """POSIX shared-FS backend — atomic dir-rename commits."""
-
-    scheme = "local"
 
     # --- generic small-object ops ---
     def join(self, *parts: str) -> str:
@@ -62,60 +100,38 @@ class LocalStorage:
             f.write(blob)
         os.replace(tmp, path)
 
-    def rmtree(self, path: str) -> None:
-        shutil.rmtree(path, ignore_errors=True)
+    def _ls(self, path: str) -> list[str]:
+        return os.listdir(path)
 
-    # --- round commit protocol ---
-    def begin_round(self, rounds_dir: str, round_no: int) -> str:
-        """→ staging path the round's parquet is written into."""
-        tmp = os.path.join(rounds_dir, f"round_{round_no:05d}.tmp")
-        if os.path.exists(tmp):
-            shutil.rmtree(tmp)
-        return tmp
+    # --- part commit protocol ---
+    def begin_round(self, parent: str, name: str) -> str:
+        """→ staging path the part's parquet is written into."""
+        final = os.path.join(parent, name)
+        for d in (final, final + ".tmp"):
+            shutil.rmtree(d, ignore_errors=True)
+        return final + ".tmp"
 
-    def commit_round(self, rounds_dir: str, round_no: int) -> None:
-        final = os.path.join(rounds_dir, f"round_{round_no:05d}")
+    def commit_round(self, parent: str, name: str, record: dict) -> None:
+        final = os.path.join(parent, name)
         tmp = final + ".tmp"
         # an all-invalid wave yields zero long rows and write_parquet
-        # creates nothing — commit an empty staging dir so numbering stays
-        # dense
+        # creates nothing — commit an empty part so numbering stays dense
         os.makedirs(tmp, exist_ok=True)
-        # a kill between this rename and the state flush leaves the round
-        # committed while state says N-1; resume recomputes the round
-        # (deterministic), so clear the stale dir rather than ENOTEMPTY
-        if os.path.exists(final):
-            shutil.rmtree(final)
+        with open(os.path.join(tmp, MARKER), "wb") as f:
+            f.write(self._record_blob(tmp, record))
         os.replace(tmp, final)
-
-    def gc_partial_rounds(self, rounds_dir: str) -> None:
-        for name in os.listdir(rounds_dir):
-            if name.endswith(".tmp"):
-                shutil.rmtree(os.path.join(rounds_dir, name))
-
-    def round_files(self, rounds_dir: str, upto: int) -> list[str]:
-        """Committed parquet files of rounds 1..upto, in round order
-        (read_parquet treats list entries as files — expand each dir)."""
-        files: list[str] = []
-        for r in range(1, upto + 1):
-            d = os.path.join(rounds_dir, f"round_{r:05d}")
-            files.extend(os.path.join(d, f) for f in sorted(os.listdir(d))
-                         if f.endswith(".parquet"))
-        return files
 
     def ray_path(self, path: str) -> str:
         return path
 
 
-class FsspecStorage:
+class FsspecStorage(_Storage):
     """fsspec backend — marker-file commits (no atomic dir rename)."""
-
-    MARKER = "_COMMITTED"
 
     def __init__(self, url_prefix: str):
         import fsspec
 
         self.fs, _ = fsspec.core.url_to_fs(url_prefix)
-        self.scheme = url_prefix.split("://", 1)[0]
 
     def _strip(self, path: str) -> str:
         """fsspec fs methods take scheme-less paths."""
@@ -139,47 +155,30 @@ class FsspecStorage:
         tmp = p + ".tmp"
         with self.fs.open(tmp, "wb") as f:
             f.write(blob)
-        # atomic on file://; copy+delete on object stores — safe because a
-        # torn state file only loses the latest round's mark (see module doc)
+        # atomic on file://; copy+delete on object stores (see module doc)
         self.fs.mv(tmp, p)
 
-    def rmtree(self, path: str) -> None:
+    def _ls(self, path: str) -> list[str]:
         p = self._strip(path)
-        if self.fs.exists(p):
-            self.fs.rm(p, recursive=True)
+        if not self.fs.exists(p):  # an empty part on an object store
+            return []
+        return [e.rstrip("/").rsplit("/", 1)[-1]
+                for e in self.fs.ls(p, detail=False)]
 
-    def begin_round(self, rounds_dir: str, round_no: int) -> str:
-        # no rename on object stores: write straight into the final dir; an
-        # uncommitted leftover from a prior failed attempt is cleared first
-        final = self.join(rounds_dir, f"round_{round_no:05d}")
-        if self.exists(final) and not self.exists(self.join(final, self.MARKER)):
-            self.rmtree(final)
+    def begin_round(self, parent: str, name: str) -> str:
+        # no rename on object stores: workers write straight into the final
+        # dir, cleared first even if an earlier attempt committed it
+        final = self.join(parent, name)
+        if self.exists(final):
+            self.fs.rm(self._strip(final), recursive=True)
         return final
 
-    def commit_round(self, rounds_dir: str, round_no: int) -> None:
-        final = self.join(rounds_dir, f"round_{round_no:05d}")
+    def commit_round(self, parent: str, name: str, record: dict) -> None:
+        final = self.join(parent, name)
         self.makedirs(final)  # empty round (all-invalid wave) still commits
-        self.fs.touch(self._strip(self.join(final, self.MARKER)))
-
-    def gc_partial_rounds(self, rounds_dir: str) -> None:
-        base = self._strip(rounds_dir)
-        for entry in self.fs.ls(base, detail=False):
-            name = entry.rstrip("/").rsplit("/", 1)[-1]
-            if name.startswith("round_") and not self.fs.exists(
-                    f"{entry.rstrip('/')}/{self.MARKER}"):
-                self.fs.rm(entry, recursive=True)
-
-    def round_files(self, rounds_dir: str, upto: int) -> list[str]:
-        files: list[str] = []
-        for r in range(1, upto + 1):
-            d = self.join(rounds_dir, f"round_{r:05d}")
-            entries = sorted(self.fs.ls(self._strip(d), detail=False))
-            sep = "://"
-            prefix = (self.scheme + sep) if self.scheme != "file" else ""
-            for e in entries:
-                if e.endswith(".parquet"):
-                    files.append(self.ray_path(prefix + e if sep not in e else e))
-        return files
+        blob = self._record_blob(final, record)
+        with self.fs.open(self._strip(self.join(final, MARKER)), "wb") as f:
+            f.write(blob)
 
     def ray_path(self, path: str) -> str:
         """Path Ray Data workers read/write. ``file://`` is a shared-FS

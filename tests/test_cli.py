@@ -152,27 +152,30 @@ def test_cli_crawl_report_type_must_match_corpus(tmp_path):
 
 
 def test_cli_export_shards_and_resumes(tmp_path):
-    """The export sink must write per-shard parquet + manifest lineage,
-    skip every committed shard on rerun, rewrite exactly the missing shard
-    after partial loss, and its shard contents must agree with the SQL-
-    checked q_export_pipeline stats."""
+    """The export sink must commit per-shard parquet with each shard's
+    lineage record, skip every committed shard on rerun, rewrite exactly
+    the missing shard after partial loss, and its shard contents must agree
+    with the SQL-checked q_export_pipeline stats."""
     import json
     import shutil
 
     sf = "/root/testdata/sf0.001"
     out = str(tmp_path / "export")
 
+    def record(k):
+        with open(os.path.join(out, f"shard={k}", "_COMMITTED")) as f:
+            return json.load(f)
+
     r = _run("export", "--sf-dir", sf, "--out-dir", out)
     assert r.returncode == 0, r.stderr[-2000:]
     assert "8 written, 0 resumed-skip" in r.stdout
-    manifest = json.load(open(os.path.join(out, "manifest.json")))
-    assert sorted(manifest["shards"]) == [str(k) for k in range(8)]
+    assert sorted(os.listdir(out)) == [f"shard={k}" for k in range(8)]
 
-    # shard contents must match the manifest lineage and the doc→shard hash
+    # shard contents must match the shard's record and the doc→shard hash
     total = 0
     for k in range(8):
         df = pq.read_table(os.path.join(out, f"shard={k}")).to_pandas()
-        rec = manifest["shards"][str(k)]
+        rec = record(k)
         assert len(df) == rec["rows"] and int(df["n_tokens"].sum()) == rec["tokens"]
         assert ((df["doc_id"].astype("int64") * 2654435761) % (1 << 32) % 8 == k).all()
         total += len(df)
@@ -182,11 +185,9 @@ def test_cli_export_shards_and_resumes(tmp_path):
     r2 = _run("export", "--sf-dir", sf, "--out-dir", out)
     assert r2.returncode == 0 and "0 written, 8 resumed-skip" in r2.stdout
 
-    # partial loss: drop one shard dir + its manifest row -> only it rewritten
+    # partial loss: drop one shard dir (its record goes with it) -> only it
+    # is rewritten
     shutil.rmtree(os.path.join(out, "shard=3"))
-    del manifest["shards"]["3"]
-    with open(os.path.join(out, "manifest.json"), "w") as f:
-        json.dump(manifest, f)
     before = {k: os.path.getmtime(os.path.join(out, f"shard={k}"))
               for k in range(8) if k != 3}
     r3 = _run("export", "--sf-dir", sf, "--out-dir", out)
@@ -195,8 +196,7 @@ def test_cli_export_shards_and_resumes(tmp_path):
              for k in range(8) if k != 3}
     assert before == after  # untouched shards not rewritten
     df3 = pq.read_table(os.path.join(out, "shard=3")).to_pandas()
-    m3 = json.load(open(os.path.join(out, "manifest.json")))["shards"]["3"]
-    assert len(df3) == m3["rows"]
+    assert len(df3) == record(3)["rows"]
 
 
 def test_cli_schedule_kill_resume(tmp_path):

@@ -123,19 +123,19 @@ def test_heap_never_compares_row_payloads():
 def test_pop_roundtrip_preserves_dtypes():
     fr = ShardedFrontier(2, use_actors=False)
     df = _mini_df(8).assign(
-        partition_id=np.arange(8, dtype=np.int32),
+        rank32=np.arange(8, dtype=np.int32),
         flag=np.array([0, 1] * 4, dtype=np.int64),
     )
     fr.push_pandas(df)
     out, _ = _staged_wave(fr, 8, _open_gate())
-    assert str(out["partition_id"].dtype) == "int32"
+    assert str(out["rank32"].dtype) == "int32"
     assert str(out["priority"].dtype) == "float64"
     # snapshot/restore keeps the dtype map too
     fr.push_pandas(df)
     fr2 = ShardedFrontier(2, use_actors=False)
     fr2.restore(fr.snapshot())
     out2, _ = _staged_wave(fr2, 8, _open_gate())
-    assert str(out2["partition_id"].dtype) == "int32"
+    assert str(out2["rank32"].dtype) == "int32"
 
 
 def test_pop_admissible_robots_dead_letter():
@@ -333,36 +333,83 @@ def test_scheduled_equals_batch_pipeline(fixture_dir):
     pd.testing.assert_frame_equal(sched["wide"], batch["wide"])
 
 
-def test_kill_between_round_commit_and_state_flush(fixture_dir, tmp_path):
-    """ADVICE r02: a kill AFTER round N's directory rename but BEFORE the
-    state.pkl flush leaves round_N committed while state says N-1; the
-    resume recomputes round N (deterministic) and must overwrite the stale
-    dir rather than crash with ENOTEMPTY on os.replace."""
-    import os
-    import shutil
-
+@pytest.mark.parametrize("backend", ["local", "fsspec"])
+def test_kill_between_round_commit_and_state_flush(fixture_dir, tmp_path,
+                                                   backend):
+    """ADVICE r02: a kill AFTER round N's commit but BEFORE the state.pkl
+    flush leaves round N committed while state says N-1. The resume
+    recomputes round N (deterministic) and must replace the committed round
+    on both storage backends, not add a second copy beside it."""
+    ck_local = tmp_path / "ck"
+    ck = str(ck_local) if backend == "local" else f"file://{ck_local}"
     cfg = CrawlConfig()
     full = scheduler.run_scheduled_crawl(
         fixture_dir, cfg, wave_size=97, concurrency=1
     )
-    ck = str(tmp_path / "ck")
-    scheduler.run_scheduled_crawl(
-        fixture_dir, cfg, wave_size=97, concurrency=1,
-        ckpt_dir=ck, max_rounds=3
-    )
-    # simulate the kill window: round 4's dir exists (committed, non-empty
-    # marker file inside) but state still says rounds=3
-    stale = os.path.join(ck, "rounds", "round_00004")
-    os.makedirs(stale)
-    with open(os.path.join(stale, "part-0.parquet"), "wb") as f:
-        f.write(b"stale-garbage")  # non-empty → os.replace would ENOTEMPTY
-    resumed = scheduler.run_scheduled_crawl(
-        fixture_dir, cfg, wave_size=97, concurrency=1,
-        ckpt_dir=ck
-    )
+
+    def run(**kw):
+        return scheduler.run_scheduled_crawl(
+            fixture_dir, cfg, wave_size=97, concurrency=1, ckpt_dir=ck, **kw)
+
+    # the real gap: round 4 commits, then state.pkl goes back to round 3's
+    run(max_rounds=3)
+    state3 = (ck_local / "state.pkl").read_bytes()
+    run(max_rounds=4)
+    (ck_local / "state.pkl").write_bytes(state3)
+    rounds_dir = ck_local / "rounds"
+    assert (rounds_dir / "round_00004" / "_COMMITTED").exists()
+    # and a later round's leftover: non-empty, so a rename onto it would
+    # fail with ENOTEMPTY
+    (rounds_dir / "round_00005").mkdir()
+    (rounds_dir / "round_00005" / "part-0.parquet").write_bytes(
+        b"stale-garbage")
+    resumed = run()
+    assert resumed["counters"]["rounds"] > 4
     pd.testing.assert_frame_equal(resumed["long"], full["long"])
     pd.testing.assert_frame_equal(resumed["wide"], full["wide"])
-    shutil.rmtree(ck)
+
+
+def test_round_lineage_records(fixture_dir, tmp_path):
+    """Each committed round's _COMMITTED record names the round's parquet
+    files and its admitted URLs per hash range, which sum to the state's
+    admitted count for that round. Reads take the record's files only, and
+    a record that disagrees with the state stops the resume."""
+    import json
+    import os
+
+    ck = tmp_path / "ck"
+    killed = scheduler.run_scheduled_crawl(
+        fixture_dir, CrawlConfig(), wave_size=97, concurrency=1,
+        ckpt_dir=str(ck), max_rounds=3
+    )
+    c = killed["counters"]
+    assert c["rounds"] == 3
+    for r in (1, 2, 3):
+        d = ck / "rounds" / f"round_{r:05d}"
+        rec = json.loads((d / "_COMMITTED").read_text())
+        assert rec["round"] == r and rec["tick"] == c["round_ticks"][r - 1]
+        assert len(rec["admitted"]) == CrawlConfig().seen_shards
+        assert sum(rec["admitted"]) == c["round_admitted"][r - 1]
+        assert rec["files"] == sorted(f for f in os.listdir(d)
+                                      if f.endswith(".parquet"))
+        assert rec["files"]
+
+    # a stray file in a committed round is never read
+    (ck / "rounds" / "round_00001" / "stray.parquet").write_bytes(b"garbage")
+    again = scheduler.run_scheduled_crawl(
+        fixture_dir, CrawlConfig(), wave_size=97, concurrency=1,
+        ckpt_dir=str(ck), max_rounds=3
+    )
+    pd.testing.assert_frame_equal(again["long"], killed["long"])
+
+    rec_path = ck / "rounds" / "round_00002" / "_COMMITTED"
+    rec = json.loads(rec_path.read_text())
+    rec["admitted"][0] += 1
+    rec_path.write_text(json.dumps(rec))
+    with pytest.raises(ValueError, match="round 2"):
+        scheduler.run_scheduled_crawl(
+            fixture_dir, CrawlConfig(), wave_size=97, concurrency=1,
+            ckpt_dir=str(ck))
 
 
 # ---------------------------------------------------------------------------

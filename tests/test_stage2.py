@@ -1,6 +1,7 @@
 """Stage-2 E2E conformance: fetch→decode→extract→long/wide vs the oracle,
 plus the per-row invariant (PSNR ≥ 40 dB lossy / exact lossless + exact
-caption equality) and byte-identical checkpoint resume."""
+caption equality) and the payload sink's skip-if-exists resume. Checkpointed
+resume is the scheduler's (tests/test_scheduler.py)."""
 
 import json
 
@@ -93,33 +94,6 @@ def test_per_row_invariant_psnr_caption(fixture_dir, engine_frontier, corpus_df)
             assert p >= 40.0, (iid, p)
         checked += 1
     assert checked == len(ok)
-
-
-def test_checkpoint_resume_byte_identical(fixture_dir, engine_frontier, tmp_path):
-    """Kill after the first partition group; resume; the concatenated long
-    checkpoint must equal an uninterrupted run's byte-for-byte
-    (SURVEY.md §4.4)."""
-    cfg = CrawlConfig()
-    corpus_path = f"{fixture_dir}/corpus.parquet"
-
-    ck_a = str(tmp_path / "interrupted")
-    done1 = stage2.run_stage2_checkpointed(engine_frontier, corpus_path, ck_a, cfg, group_size=4, max_groups=1)
-    assert 0 < len(done1) < cfg.num_partitions
-    done2 = stage2.run_stage2_checkpointed(engine_frontier, corpus_path, ck_a, cfg, group_size=4)
-    assert sorted(done1 + done2) == list(range(cfg.num_partitions))
-    # a third run is a no-op
-    assert stage2.run_stage2_checkpointed(engine_frontier, corpus_path, ck_a, cfg) == []
-
-    ck_b = str(tmp_path / "straight")
-    stage2.run_stage2_checkpointed(engine_frontier, corpus_path, ck_b, cfg, group_size=16)
-
-    a = stage2.long_view(stage2.read_long_checkpoint(ck_a))
-    b = stage2.long_view(stage2.read_long_checkpoint(ck_b))
-    pd.testing.assert_frame_equal(a, b)
-    # lineage counters present for every partition
-    m = stage2.load_manifest(ck_a)
-    assert len(m["partitions"]) == cfg.num_partitions
-    assert sum(v["rows"] for v in m["partitions"].values()) == len(a)
 
 
 def test_export_payloads_content_and_resume(fixture_dir, engine_frontier,

@@ -416,7 +416,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
 #: reference-semantics oracle (tests/oracle_impl.py) at the driver's
 #: correctness scale (sf0.01 ↔ 10k-image fixture) — see tools/make_goldens.py
 #: for provenance and the engine cross-check performed at generation time.
-_GOLDEN_DIR = "/root/repo/goldens/sf0.01"
+_GOLDEN_DIR = os.path.join(_HERE, "goldens", "sf0.01")
 def _corpus_10k_path() -> str:
     from cninfo_crawler_ray.sources.corpus import fixture_dir
 

@@ -6,8 +6,9 @@ A from-scratch rebuild of the crawl semantics of ``JuliaZzy/cninfo_crawler``
 re-expressed over ``ray.data.Dataset`` pipelines:
 
 - zero-copy Arrow ``map_batches`` for fetch / validate / decode / extract,
-- actor pools for stateful components (sharded cuckoo-fronted URL-seen set,
-  per-host token-bucket politeness),
+- one state actor per url-sha1 hash range for crawl state (the range's
+  cuckoo-fronted URL-seen set and frontier heap), per-host token-bucket
+  politeness,
 - ``groupby``/``map_groups`` shuffles for dedup, per-key keep-latest, and
   long→wide pivoting,
 - checkpointed resume through one commit protocol (``state/storage.py``):

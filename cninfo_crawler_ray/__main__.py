@@ -163,15 +163,13 @@ def _cmd_collect(args) -> int:
 
 
 def _cmd_export(args) -> int:
-    """Training-data export sink: run the curation/export chain once, then
-    commit each shard's survivor rows as parquet under ``shard=K/`` through
-    the checkpoint storage protocol (state/storage.py), with the shard's
-    lineage record (rows, tokens) in its ``_COMMITTED`` file. A rerun skips
-    every shard whose record exists, so a killed export resumes where it
-    stopped — the same commit as the scheduler's rounds."""
-    from ray.data.aggregate import Count, Sum
-
-    from .pipelines.queries import export_survivors
+    """Training-data export sink: commit each shard's survivor rows as
+    parquet under ``shard=K/`` through the checkpoint storage protocol
+    (state/storage.py), with the shard's lineage record (rows, tokens) in its
+    ``_COMMITTED`` file — the same commit as the scheduler's rounds. Every
+    shard's record is read first: the curation/export chain runs only when
+    some shard has none, and writes only those, so a killed export resumes
+    where it stopped and a finished one reruns from its records alone."""
     from .state.storage import storage_for
 
     t0 = time.time()
@@ -179,26 +177,28 @@ def _cmd_export(args) -> int:
     st = storage_for(out)
     st.makedirs(out)
 
-    surv = export_survivors(args.sf_dir, n_shards=args.n_shards).materialize()
-    stats = (surv.groupby("shard")
-             .aggregate(Count(alias_name="rows"), Sum("n_tokens", alias_name="tokens"))
-             .to_pandas().set_index("shard"))  # O(shards) rows
+    records = {k: st.read_record(out, f"shard={k}") for k in range(args.n_shards)}
+    missing = [k for k, rec in records.items() if rec is None]
+    if missing:
+        from ray.data.aggregate import Count, Sum
 
-    written = skipped = 0
-    for k in range(args.n_shards):
-        name = f"shard={k}"
-        if st.read_record(out, name) is not None:
-            skipped += 1
-            continue
-        staging = st.begin_round(out, name)
-        surv.filter(expr=f"shard == {k}").write_parquet(st.ray_path(staging))
-        st.commit_round(out, name, {"rows": int(stats["rows"].get(k, 0)),
-                                    "tokens": int(stats["tokens"].get(k, 0))})
-        written += 1
+        from .pipelines.queries import export_survivors
 
-    total_rows = int(stats["rows"].sum())
+        surv = export_survivors(args.sf_dir, n_shards=args.n_shards).materialize()
+        stats = (surv.groupby("shard")
+                 .aggregate(Count(alias_name="rows"), Sum("n_tokens", alias_name="tokens"))
+                 .to_pandas().set_index("shard"))  # O(shards) rows
+        for k in missing:
+            name = f"shard={k}"
+            staging = st.begin_round(out, name)
+            surv.filter(expr=f"shard == {k}").write_parquet(st.ray_path(staging))
+            records[k] = {"rows": int(stats["rows"].get(k, 0)),
+                          "tokens": int(stats["tokens"].get(k, 0))}
+            st.commit_round(out, name, records[k])
+
+    total_rows = sum(rec["rows"] for rec in records.values())
     print(f"export: {total_rows} docs -> {args.n_shards} shards under {out} "
-          f"({written} written, {skipped} resumed-skip, "
+          f"({len(missing)} written, {args.n_shards - len(missing)} resumed-skip, "
           f"{time.time() - t0:.1f}s)")
     return 0
 

@@ -26,9 +26,9 @@ class CrawlConfig:
     host_burst: int = 2000
 
     # --- state sharding ---
-    #: url-sha1 hash ranges (``state/seen.shard_of``): one seen-set shard
-    #: and one frontier heap shard per range; each round's lineage record
-    #: counts its admitted URLs per range
+    #: url-sha1 hash ranges (``state/seen.shard_of``): one state actor per
+    #: range (``state/frontier.FrontierShard``: the range's seen set and
+    #: heap); each round's lineage record counts its admitted URLs per range
     seen_shards: int = 8
     #: bound on each frontier heap shard's in-memory rows; past it the
     #: low-priority tail spills to sorted parquet (pop order unchanged —

@@ -2,12 +2,12 @@
 fetch → decode/validate/extract → long + wide reports.
 
 This is the full composition (SURVEY.md §8): stage 1 builds the frontier in
-canonical order; admission consults the sharded cuckoo-fronted URL-seen actor
-pool (exact-set backed, so the final URL-seen set matches the oracle's
-regardless of parallelism); the per-host politeness budget is replayed over
-the admitted hosts to report the virtual ticks it would wait (the scheduler
-path enforces it); stage 2 streams fetch→decode→extract into the long/wide
-reductions.
+canonical order; admission consults the cuckoo-fronted URL-seen sets held by
+the per-hash-range state actors (``state/frontier.FrontierShard``; exact-set
+backed, so the final URL-seen set matches the oracle's regardless of
+parallelism); the per-host politeness budget is replayed over the admitted
+hosts to report the virtual ticks it would wait (the scheduler path enforces
+it); stage 2 streams fetch→decode→extract into the long/wide reductions.
 """
 
 from __future__ import annotations
@@ -16,8 +16,8 @@ import pandas as pd
 
 from ..config import CrawlConfig
 from ..sources import corpus as fixtures
+from ..state.frontier import ShardedFrontier, admit
 from ..state.politeness import PolitenessGate
-from ..state.seen import ShardedSeenSet, admit
 from . import stage1, stage2
 
 
@@ -73,10 +73,10 @@ def run_crawl(
     counters = {"frontier_rows": frontier.count()}
     if counters["frontier_rows"]:
         # URL-seen admission (T2) runs INSIDE the map tasks (each batch RPCs
-        # the seen shards and keeps only first-seen rows) — the frontier
-        # never lands on the driver for admission. Duplicates are none
-        # expected post-A3; the exactness assertion is the point.
-        seen = ShardedSeenSet(cfg.seen_shards)
+        # the range actors' seen sets and keeps only first-seen rows) — the
+        # frontier never lands on the driver for admission. A URL listed
+        # under several stock codes arrives once per code; one row passes.
+        fr = ShardedFrontier(cfg.seen_shards)
 
         class Admit:
             def __init__(self, shards):
@@ -89,11 +89,11 @@ def run_crawl(
                 return df[admit(self.shards, raw)]
 
         frontier = frontier.map_batches(
-            Admit, fn_constructor_args=(seen.shards,), batch_format="pandas",
+            Admit, fn_constructor_args=(fr.shards,), batch_format="pandas",
             batch_size=4096, concurrency=(1, 8), num_cpus=0.5,
         ).materialize()
         counters["seen_admitted"] = frontier.count()
-        counters["seen_total"] = seen.total()
+        counters["seen_total"] = fr.seen_total()
 
         # politeness (T3): the grant schedule over per-host ADMITTED counts
         # (a tiny Ray aggregate — one row per host), replayed through the

@@ -5,9 +5,9 @@ This is the streaming-shaped execution of the flagship crawl (SURVEY.md
 §7.6): instead of handing the whole frontier to one Dataset pipeline
 (``pipelines/crawl.run_crawl`` — the batch path), the scheduler drains the
 **priority min-heap frontier shards** (state/frontier.py) one admissible
-wave at a time. Seeding runs in map tasks: each admits its batch against
-the seen-set shards and pushes the admitted rows to the heap shards with
-``push_rows``, the frontier's one push routing. Then each
+wave at a time. Seeding runs in map tasks: each hands its batch to
+``push_rows``, the frontier's one admit-and-push routing (one call per
+touched hash-range actor, which admits against its seen set). Then each
 
     round:  frontier.pop_admissible_staged(wave, politeness_gate)
               (control plane: shards ship ONLY compact candidate keys —
@@ -51,7 +51,6 @@ import ray.data as rd
 from ..config import CrawlConfig
 from ..state.frontier import ShardedFrontier, push_rows
 from ..state.politeness import PolitenessGate
-from ..state.seen import ShardedSeenSet, admit
 from ..state.storage import round_name, storage_for
 from . import stage1, stage2
 
@@ -66,29 +65,25 @@ def _ckpt_paths(st, ckpt_dir: str) -> tuple[str, str]:
 
 
 class _SeedBatch:
-    """Worker-side frontier seeding (scale path): each map task routes its
-    batch's keys to the seen-set shards (exact admission RPC) and pushes the
-    admitted rows straight into the frontier heap shards (``push_rows``, the
-    facade's own routing) — the frontier never materializes on the driver.
-    Heap pop order keys on the unique (priority, order_key), so which worker
-    pushed a row never matters."""
+    """Worker-side frontier seeding (scale path): each map task sends its
+    batch's rows to the range actors with ``push_rows`` (one admit-and-push
+    RPC per touched range: exact seen-set admission, then the heap push) —
+    the frontier never materializes on the driver. Heap pop order keys on
+    the unique (priority, order_key), so which worker pushed a row never
+    matters."""
 
-    def __init__(self, seen_shards, frontier_shards, columns: list[str],
+    def __init__(self, frontier_shards, columns: list[str],
                  dtypes: list[str]):
-        self.seen_shards = seen_shards
         self.frontier_shards = frontier_shards
         self.columns = columns
         self.dtypes = dtypes
 
     def __call__(self, df: pd.DataFrame) -> pd.DataFrame:
         if len(df) == 0:
-            return pd.DataFrame({"admitted": pd.Series([], dtype="int64"),
-                                 "total": pd.Series([], dtype="int64")})
+            return pd.DataFrame({"admitted": pd.Series([], dtype="int64")})
         df = df[self.columns]  # canonical column order for heap row layout
-        raw = bytes.fromhex("".join(df["url_sha1"]))
-        adm = df[admit(self.seen_shards, raw)]
-        push_rows(self.frontier_shards, adm, self.dtypes)
-        return pd.DataFrame({"admitted": [len(adm)], "total": [len(df)]})
+        n = push_rows(self.frontier_shards, df, self.dtypes)
+        return pd.DataFrame({"admitted": [n]})
 
 
 def _write_round(long_round: rd.Dataset, st, rounds_dir: str, round_no: int,
@@ -135,12 +130,12 @@ def run_scheduled_crawl(
     long rows (parquet, worker-written) commit under ``rounds/`` with the
     round's lineage record — round number, gate tick, admitted URLs per
     hash range and the round's file names (state/storage.py) — and only
-    then are snapshots of the frontier heap shards, seen-set shards and the
-    politeness gate's virtual clock flushed to ``state.pkl``. A killed job
-    rerun with the same ``ckpt_dir`` checks each done round's record
-    against the state (a mismatch raises ValueError), restores the state,
-    leaves completed rounds' parquet on disk untouched (never re-read into
-    driver memory), and finishes with byte-identical outputs
+    then are snapshots of the range actors (heap and seen set, one blob per
+    range) and the politeness gate's virtual clock flushed to ``state.pkl``.
+    A killed job rerun with the same ``ckpt_dir`` checks each done round's
+    record against the state (a mismatch raises ValueError), restores the
+    state, leaves completed rounds' parquet on disk untouched (never re-read
+    into driver memory), and finishes with byte-identical outputs
     (tests/test_scheduler.py). ``max_rounds`` simulates the kill.
 
     ``gate_overrides`` maps host → (rate_per_second, burst);
@@ -170,7 +165,6 @@ def run_scheduled_crawl(
                 "round_ticks": [], "round_admitted": []}  # gate tick +
     # admitted count at each admitted round — the executed admission schedule
     rounds = 0
-    seen = ShardedSeenSet(cfg.seen_shards)
 
     state_path = rounds_dir = None
     own_rounds_dir = None
@@ -188,11 +182,10 @@ def run_scheduled_crawl(
         rounds_dir = own_rounds_dir
 
     if state_path and storage.exists(state_path):
-        # resume: restore frontier/seen/gate; completed rounds stay on disk
+        # resume: restore range actors and gate; completed rounds stay on disk
         st = pickle.loads(storage.read_bytes(state_path))
         _check_lineage(storage, rounds_dir, st["rounds"], st["counters"])
         fr.restore(st["frontier"])
-        seen.restore(st["seen"])
         gate.restore(st["gate"])
         rounds = st["rounds"]
         counters.update(st["counters"])
@@ -201,7 +194,7 @@ def run_scheduled_crawl(
         # consume it, and a lazy plan would run stage 1 once per read
         frontier_ds = stage1.build_frontier(
             fixture_dir, cfg, concurrency=concurrency).materialize()
-        # distributed seed: admission RPC + heap push happen inside the map
+        # distributed seed: the admit-and-push RPCs happen inside the map
         # tasks; only per-batch counts (and one metadata row) reach the
         # driver
         head = frontier_ds.limit(1).to_pandas()
@@ -209,7 +202,7 @@ def run_scheduled_crawl(
         dtypes = [str(t) for t in head.dtypes]
         stats = frontier_ds.map_batches(
             _SeedBatch,
-            fn_constructor_args=(seen.shards, fr.shards, cols, dtypes),
+            fn_constructor_args=(fr.shards, cols, dtypes),
             batch_format="pandas", batch_size=4096,
             concurrency=(1, 8), num_cpus=0.5,
         ).to_pandas()
@@ -253,8 +246,8 @@ def run_scheduled_crawl(
         if ckpt_dir:
             # round data is durably committed; now the state that marks it done
             storage.write_bytes_atomic(state_path, pickle.dumps({
-                "frontier": fr.snapshot(), "seen": seen.snapshot(),
-                "gate": gate.snapshot(), "rounds": rounds, "counters": counters,
+                "frontier": fr.snapshot(), "gate": gate.snapshot(),
+                "rounds": rounds, "counters": counters,
             }))
     counters["rounds"] = rounds
 
@@ -272,4 +265,4 @@ def run_scheduled_crawl(
     counters["long_rows"] = len(long_df)
     counters["wide_rows"] = len(wide_df)
     return {"long": long_df, "wide": wide_df, "counters": counters,
-            "seen_total": seen.total()}
+            "seen_total": fr.seen_total()}

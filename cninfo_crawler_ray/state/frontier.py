@@ -9,18 +9,19 @@ in Ray actor pools**, priority = disclosure-date recency × seed rank, so a
 
 Design:
 
-- one heap shard per url-sha1 hash range (``seen.shard_of``, the seen
-  set's ranges — ONE partitioning key reused across all state),
+- one state actor per url-sha1 hash range (``seen.shard_of``, ONE
+  partitioning key for all state) holding the range's heap and its seen set
+  (``FrontierShard.seen``, a plain ``state/seen.SeenShard``),
 - entries ordered by (-priority, order_key, insertion_seq): highest priority
   first, ties broken by the canonical crawl order (SURVEY.md §3.4). The
   insertion counter is a safety tiebreaker ONLY — ``order_key`` is unique
-  per admitted URL (seen-set admission grants each URL once), so the counter
+  per admitted URL (``push_rows`` admits each URL once), so the counter
   never decides between two live rows in practice; it exists so the heap
   never falls through to comparing raw row payloads (which raises TypeError
   on None-containing or cross-dtype cells),
 - batch API throughout (push/pop whole waves, not URLs); ``push_rows`` is
-  the one push routing, used by the driver facade and by the scheduler's
-  seeding workers alike,
+  the one admit-and-push routing, used by the driver facade and by the
+  scheduler's seeding workers alike,
 - one staged pop-and-admit path (``pop_admissible_staged``): each shard
   stages its local top-k and ships only compact keys; the driver merges
   them, applies robots and the politeness budget, and sends back per-shard
@@ -28,28 +29,33 @@ Design:
   the merge's losers and budget-denied rows go back on their heap in place,
 - pandas round-trips preserve dtypes: the shard records the pushed frame's
   dtype map and every rebuilt frame is cast back to it (``df.values`` alone
-  re-infers dtypes and e.g. widens int32 partition ids),
-- snapshot/restore per shard for checkpointed resume.
+  re-infers dtypes and e.g. widens int32 columns to int64),
+- one snapshot per range (heap and seen set) for checkpointed resume.
 
 ``FrontierShard`` is a plain class wrapped by ``ray.remote`` in the
-``ShardedFrontier`` facade, mirroring ``state/seen.py``;
-``ShardedFrontier(use_actors=False)`` keeps the shards in-process, the
-unit tests' seam.
+``ShardedFrontier`` facade; ``ShardedFrontier(use_actors=False)`` keeps the
+shards in-process, the unit tests' seam.
 """
 
 from __future__ import annotations
 
 import heapq
+import os
 import pickle
+import tempfile
+from typing import TYPE_CHECKING
 
 import numpy as np
-import pandas as pd
 
-from .seen import shard_of
+from .seen import SeenShard, shard_of
+
+if TYPE_CHECKING:  # imported where used: range actors that never spill skip it
+    import pandas as pd
 
 
 class FrontierShard:
-    """One hash-range shard: a min-heap on (-priority, order_key, seq).
+    """One hash range's state: its URL-seen set (``self.seen``) and a
+    min-heap on (-priority, order_key, seq).
 
     ``spill_threshold`` bounds the in-memory heap (VERDICT r02 "what's wrong"
     §6): when a push grows the heap past the threshold, the low-priority tail
@@ -62,6 +68,7 @@ class FrontierShard:
 
     def __init__(self, shard_id: int = 0, spill_threshold: int | None = None):
         self.shard_id = shard_id
+        self.seen = SeenShard(shard_id)
         self.heap: list[tuple] = []  # (-priority, order_key, seq, row_values)
         self.columns: list[str] | None = None
         self.dtypes: list[str] | None = None
@@ -76,6 +83,20 @@ class FrontierShard:
         self._staged: list[tuple] = []
         self._outbox: list[list] = []
         self.dead_rows: list[tuple[str, list]] = []
+
+    def contains_and_add(self, keys: list[bytes]) -> list[bool]:
+        """Batch test-and-set against this range's seen set → is_new."""
+        return self.seen.contains_and_add(keys)
+
+    def admit_and_push(self, columns: list[str], rows: list[list],
+                       dtypes: list[str] | None = None) -> int:
+        """Admit the rows whose ``url_sha1`` this range has not seen (the
+        first of a repeated key wins) and push them → admitted count."""
+        ui = columns.index("url_sha1")
+        is_new = self.seen.contains_and_add([bytes.fromhex(r[ui]) for r in rows])
+        admitted = [r for r, new in zip(rows, is_new) if new]
+        self.push(columns, admitted, dtypes)
+        return len(admitted)
 
     def push(self, columns: list[str], rows: list[list],
              dtypes: list[str] | None = None) -> int:
@@ -94,15 +115,11 @@ class FrontierShard:
     # -- spill (bounded actor memory) ---------------------------------------
 
     def _spill_path(self) -> str:
-        import tempfile
-
         if self._spill_dir is None:
             self._spill_dir = tempfile.mkdtemp(
                 prefix=f"frontier_spill_{self.shard_id}_")
         self._spill_ctr += 1
-        import os as _os
-
-        return _os.path.join(self._spill_dir, f"spill_{self._spill_ctr:06d}.parquet")
+        return os.path.join(self._spill_dir, f"spill_{self._spill_ctr:06d}.parquet")
 
     def _maybe_spill(self) -> None:
         if not self.spill_threshold or len(self.heap) <= self.spill_threshold:
@@ -110,6 +127,8 @@ class FrontierShard:
         self._spill_down(self.spill_threshold // 2)
 
     def _spill_down(self, keep: int) -> None:
+        import pandas as pd
+
         entries = sorted(self.heap, key=lambda e: e[:3])
         self.heap = entries[:keep]
         heapq.heapify(self.heap)
@@ -127,7 +146,7 @@ class FrontierShard:
         self._spill.append({"path": path, "min_key": tail[0][:3], "n": len(tail)})
 
     def _reload_spill(self, f: dict) -> None:
-        import os as _os
+        import pandas as pd
 
         df = pd.read_parquet(f["path"])
         payload = df[self.columns]
@@ -137,7 +156,7 @@ class FrontierShard:
         for k0, k1, k2, row in zip(df["_sk0"], df["_sk1"], df["_sk2"], rows):
             heapq.heappush(self.heap, (k0, k1, int(k2), row))
         self._spill.remove(f)
-        _os.unlink(f["path"])
+        os.unlink(f["path"])
 
     def _ensure_top(self, k: int) -> None:
         """Reload any spill file whose best entry could belong to the next
@@ -223,6 +242,9 @@ class FrontierShard:
     def size(self) -> int:
         return len(self.heap) + sum(f["n"] for f in self._spill)
 
+    def seen_size(self) -> int:
+        return self.seen.size()
+
     def snapshot(self) -> bytes:
         # spill files travel inside the blob (self-contained checkpoint);
         # at real scale these would be lineage-referenced parquet on shared
@@ -233,11 +255,12 @@ class FrontierShard:
                 spills.append((f["min_key"], f["n"], fh.read()))
         return pickle.dumps((self.shard_id, self.columns, self.dtypes,
                              self.heap, self._seq, self.spill_threshold,
-                             spills))
+                             spills, self.seen.snapshot()))
 
     def restore(self, blob: bytes) -> None:
         (self.shard_id, self.columns, self.dtypes, heap, self._seq,
-         self.spill_threshold, spills) = pickle.loads(blob)
+         self.spill_threshold, spills, seen) = pickle.loads(blob)
+        self.seen.restore(seen)
         self.heap = heap
         heapq.heapify(self.heap)
         self._spill = []
@@ -261,30 +284,51 @@ def _path_of(url) -> str:
     return rest[j:] if j >= 0 else "/"
 
 
-def push_rows(shards, df: pd.DataFrame, dtypes: list[str] | None) -> None:
-    """The one heap-push routing: each row goes to the shard ``shard_of``
-    gives its ``url_sha1`` (the seen-set's hash ranges), and every touched
-    shard gets one ``push`` with its rows in frame order. ``shards`` are
-    FrontierShard actor handles, or in-process FrontierShards in unit
-    tests."""
-    cols = list(df.columns)
-    rows = df.values.tolist()
-    shard = shard_of(bytes.fromhex("".join(df["url_sha1"])), len(shards))
-    batches = [(shards[s], [rows[i] for i in np.flatnonzero(shard == s)])
-               for s in np.unique(shard)]
-    if batches and isinstance(batches[0][0], FrontierShard):
-        for sh, part in batches:
-            sh.push(cols, part, dtypes)
-        return
+def _route(shards, raw: bytes, method: str, args_of) -> list[tuple]:
+    """One ``method(*args_of(idxs))`` call per hash range touched by the
+    20-byte SHA1 keys concatenated in ``raw`` (``idxs``: the range's key
+    positions, in order) → [(idxs, result)]. ``shards`` are FrontierShard
+    actor handles, or in-process FrontierShards in unit tests."""
+    shard = shard_of(raw, len(shards))
+    groups = [(s, np.flatnonzero(shard == s)) for s in np.unique(shard)]
+    if groups and isinstance(shards[0], FrontierShard):
+        return [(idxs, getattr(shards[s], method)(*args_of(idxs)))
+                for s, idxs in groups]
     import ray
 
-    ray.get([sh.push.remote(cols, part, dtypes) for sh, part in batches])
+    futs = [getattr(shards[s], method).remote(*args_of(idxs))
+            for s, idxs in groups]
+    return [(idxs, res) for (_, idxs), res in zip(groups, ray.get(futs))]
+
+
+def admit(shards, raw: bytes) -> np.ndarray:
+    """Batch test-and-set of the 20-byte SHA1 keys concatenated in ``raw``
+    against the range actors' seen sets → is_new mask (the batch path's
+    admission; nothing is pushed)."""
+    keys = [raw[i:i + 20] for i in range(0, len(raw), 20)]
+    is_new = np.zeros(len(keys), dtype=bool)
+    for idxs, got in _route(shards, raw, "contains_and_add",
+                            lambda idxs: ([keys[i] for i in idxs],)):
+        is_new[idxs] = got
+    return is_new
+
+
+def push_rows(shards, df: pd.DataFrame, dtypes: list[str] | None) -> int:
+    """The one admit-and-push routing: each touched range gets one
+    ``admit_and_push`` with its rows in frame order, so a row reaches the
+    heap only if its ``url_sha1`` is new to the range → admitted count."""
+    cols = list(df.columns)
+    rows = df.values.tolist()
+    return sum(n for _, n in _route(
+        shards, bytes.fromhex("".join(df["url_sha1"])), "admit_and_push",
+        lambda idxs: (cols, [rows[i] for i in idxs], dtypes)))
 
 
 def _pull_outbox(df: pd.DataFrame, *, shards, dtypes) -> pd.DataFrame:
     """Wave data plane: a map task pulls its shard's admitted rows straight
     from the FrontierShard actor. Runs as a Ray task (plain fn), one per
     non-empty shard; read_outbox is non-destructive so retries are safe."""
+    import pandas as pd
     import ray
 
     frames = []
@@ -298,9 +342,8 @@ def _pull_outbox(df: pd.DataFrame, *, shards, dtypes) -> pd.DataFrame:
 
 
 class ShardedFrontier:
-    """Driver-side facade over a pool of FrontierShard actors, sharded by
-    the leading bytes of ``url_sha1`` (hex) — the same routing as the
-    seen-set shards."""
+    """Driver-side facade over one FrontierShard actor per ``url_sha1``
+    hash range (``shard_of``); each holds its range's seen set and heap."""
 
     def __init__(self, num_shards: int = 8, use_actors: bool = True,
                  spill_threshold: int | None = None):
@@ -336,6 +379,8 @@ class ShardedFrontier:
         return [getattr(s, method)(*a) for s, a in zip(self.shards, args_per_shard)]
 
     def _rebuild(self, rows: list[list], cols: list[str] | None) -> pd.DataFrame:
+        import pandas as pd
+
         if not cols:
             return pd.DataFrame()
         df = pd.DataFrame(rows, columns=cols)
@@ -345,18 +390,22 @@ class ShardedFrontier:
 
     # -- API ---------------------------------------------------------------
 
-    def push_pandas(self, df: pd.DataFrame) -> None:
-        """Push frontier rows (must include priority, order_key, url_sha1,
-        host and PDF链接)."""
+    def push_pandas(self, df: pd.DataFrame) -> int:
+        """Admit and push frontier rows (must include priority, order_key,
+        url_sha1, host and PDF链接) → admitted count."""
         if len(df) == 0:
-            return
+            return 0
         self.columns = list(df.columns)
         if self.dtypes is None:
             self.dtypes = [str(t) for t in df.dtypes]
-        push_rows(self.shards, df, self.dtypes)
+        return push_rows(self.shards, df, self.dtypes)
 
     def total(self) -> int:
         return sum(self._calls("size", [() for _ in self.shards]))
+
+    def seen_total(self) -> int:
+        """URLs in the seen sets of all ranges."""
+        return sum(self._calls("seen_size", [() for _ in self.shards]))
 
     def pop_admissible_staged(self, k: int, gate) -> dict:
         """Globally best k entries by (priority desc, order_key asc),
@@ -457,6 +506,8 @@ class ShardedFrontier:
 
     def dead_letter_rows(self) -> pd.DataFrame:
         """Lineage view of shard-side dead letters (staged path)."""
+        import pandas as pd
+
         frames = []
         for res in self._calls("read_dead", [() for _ in self.shards]):
             reasons, rows, cols = res

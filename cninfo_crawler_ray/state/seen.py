@@ -1,23 +1,26 @@
-"""Sharded URL-seen set: cuckoo filter front + exact backing set (T2).
+"""URL-seen set for one hash range: cuckoo filter front + exact backing set (T2).
 
 The reference's in-flight dedup is a driver-local Python ``set`` over a raw
 4-tuple, scoped to one listing stream (cninfo_report_crawler.py:183,
 :294-306). At 10^10-URL frontier scale that must become distributed state:
 
 - keyed on SHA1(canonical URL) (north rule),
-- sharded by url-hash range across an actor pool (one shard = one hash
-  interval, ``shard_of``; the frontier heap shards use the same intervals),
+- split by url-hash range (``shard_of``): each range's plain ``SeenShard``
+  is composed inside that range's frontier heap actor
+  (``state/frontier.FrontierShard.seen``), so one actor per range holds
+  both the range's seen set and its heap,
 - a cuckoo filter in front answers "definitely new" without touching the
   exact set; the exact per-shard set backs it so false positives can NEVER
   corrupt the *exact* URL-seen match the north rule demands (SURVEY.md §7.5),
-- batch RPC (``contains_and_add`` on a list) so callers pay one round trip
-  per map_batches batch, not per URL,
-- snapshot/restore for checkpointed resume.
+- batch test-and-set (``contains_and_add`` on a list) so callers pay one
+  round trip per map_batches batch, not per URL,
+- snapshot/restore for checkpointed resume (inside the range actor's blob).
 
 Determinism: "first occurrence wins" is defined by the canonical order key,
 not arrival order — callers that need the deterministic winner among
 duplicates resolve it with a groupby-argmin *before* consulting the seen set
-(SURVEY.md §3.4); the actor path is the streaming/incremental admission gate.
+(SURVEY.md §3.4); the range actors are the streaming/incremental admission
+gate.
 """
 
 from __future__ import annotations
@@ -31,29 +34,11 @@ import numpy as np
 def shard_of(raw: bytes, num_shards: int) -> np.ndarray:
     """Hash-range shard of each 20-byte SHA1 key concatenated in ``raw``:
     its leading big-endian u32 (a strided view — a key is five u32s) over
-    ``num_shards`` equal intervals. The one hash-range rule: the seen set,
-    the frontier heap and the per-range counts in each round's record."""
+    ``num_shards`` equal intervals. The one hash-range rule: the range
+    actors (seen set + frontier heap) and the per-range counts in each
+    round's record."""
     width = (1 << 32) // num_shards + 1
     return np.frombuffer(raw, dtype=">u4")[::5].astype(np.int64) // width
-
-
-def admit(shards, raw: bytes) -> np.ndarray:
-    """Batch test-and-set of the 20-byte SHA1 keys concatenated in ``raw``
-    against the seen-shard actors → is_new mask. A key's shard is
-    ``shard_of``; each touched shard gets one RPC with its keys in row
-    order."""
-    import ray
-
-    shard = shard_of(raw, len(shards))
-    calls = []
-    for s in np.unique(shard):
-        idxs = np.flatnonzero(shard == s)
-        calls.append((idxs, shards[s].contains_and_add.remote(
-            [raw[20 * i:20 * i + 20] for i in idxs])))
-    is_new = np.zeros(len(shard), dtype=bool)
-    for idxs, fut in calls:
-        is_new[idxs] = ray.get(fut)
-    return is_new
 
 
 class CuckooFilter:
@@ -106,8 +91,8 @@ class CuckooFilter:
 
 
 class SeenShard:
-    """One hash-range shard of the URL-seen set. Plain class — wrapped by
-    ``ray.remote`` at pool construction so it is unit-testable standalone."""
+    """One hash-range shard of the URL-seen set. Plain class — composed by
+    that range's ``FrontierShard``, and unit-testable standalone."""
 
     def __init__(self, shard_id: int = 0, capacity: int = 1 << 16):
         self.shard_id = shard_id
@@ -144,35 +129,3 @@ class SeenShard:
         for k in self.exact:
             if not self.filter.add(k):
                 self.overflowed = True
-
-
-class ShardedSeenSet:
-    """Driver-side facade over a pool of SeenShard actors, sharded by the
-    leading bytes of the sha1 key (``shard_of``, the frontier heap's hash
-    ranges too). All calls are batch-per-shard."""
-
-    def __init__(self, num_shards: int, capacity_per_shard: int = 1 << 16):
-        import ray
-
-        # coordination actor: tiny per-call CPU, mostly idle — reserving CPU
-        # would let a wide shard pool starve the compute stages
-        actor = ray.remote(num_cpus=0)(SeenShard)
-        self.shards = [actor.remote(i, capacity_per_shard) for i in range(num_shards)]
-
-    def contains_and_add(self, keys: list[bytes]) -> list[bool]:
-        return admit(self.shards, b"".join(keys)).tolist()
-
-    def total(self) -> int:
-        import ray
-
-        return sum(ray.get([s.size.remote() for s in self.shards]))
-
-    def snapshot(self) -> list[bytes]:
-        import ray
-
-        return ray.get([s.snapshot.remote() for s in self.shards])
-
-    def restore(self, blobs: list[bytes]) -> None:
-        import ray
-
-        ray.get([s.restore.remote(b) for s, b in zip(self.shards, blobs)])

@@ -151,10 +151,11 @@ def test_cli_crawl_report_type_must_match_corpus(tmp_path):
     assert name.startswith("listed_companies_") and "_ndbg_" in name
 
 
-def test_cli_export_shards_and_resumes(tmp_path):
+def test_cli_export_shards_and_resumes(tmp_path, monkeypatch, capsys):
     """The export sink must commit per-shard parquet with each shard's
-    lineage record, skip every committed shard on rerun, rewrite exactly
-    the missing shard after partial loss, and its shard contents must agree
+    lineage record, skip every committed shard on rerun without running the
+    curation chain, rewrite exactly the missing shard after partial loss,
+    print the same doc total each time, and its shard contents must agree
     with the SQL-checked q_export_pipeline stats."""
     import json
     import shutil
@@ -169,6 +170,7 @@ def test_cli_export_shards_and_resumes(tmp_path):
     r = _run("export", "--sf-dir", sf, "--out-dir", out)
     assert r.returncode == 0, r.stderr[-2000:]
     assert "8 written, 0 resumed-skip" in r.stdout
+    docs = r.stdout.split("export: ")[1].split(" docs")[0]
     assert sorted(os.listdir(out)) == [f"shard={k}" for k in range(8)]
 
     # shard contents must match the shard's record and the doc→shard hash
@@ -181,9 +183,18 @@ def test_cli_export_shards_and_resumes(tmp_path):
         total += len(df)
     assert total > 100
 
-    # full resume: nothing rewritten
-    r2 = _run("export", "--sf-dir", sf, "--out-dir", out)
-    assert r2.returncode == 0 and "0 written, 8 resumed-skip" in r2.stdout
+    # full resume, in-process: nothing rewritten, the chain never runs
+    from cninfo_crawler_ray import __main__ as cli
+    from cninfo_crawler_ray.pipelines import queries
+
+    def no_chain(*a, **kw):
+        raise AssertionError("export chain ran for a fully committed out dir")
+
+    monkeypatch.setattr(queries, "export_survivors", no_chain)
+    assert cli._cmd_export(argparse.Namespace(sf_dir=sf, out_dir=out,
+                                              n_shards=8)) == 0
+    r2 = capsys.readouterr().out
+    assert "0 written, 8 resumed-skip" in r2 and f"export: {docs} docs" in r2
 
     # partial loss: drop one shard dir (its record goes with it) -> only it
     # is rewritten
@@ -192,6 +203,7 @@ def test_cli_export_shards_and_resumes(tmp_path):
               for k in range(8) if k != 3}
     r3 = _run("export", "--sf-dir", sf, "--out-dir", out)
     assert r3.returncode == 0 and "1 written, 7 resumed-skip" in r3.stdout
+    assert f"export: {docs} docs" in r3.stdout
     after = {k: os.path.getmtime(os.path.join(out, f"shard={k}"))
              for k in range(8) if k != 3}
     assert before == after  # untouched shards not rewritten

@@ -97,3 +97,19 @@ def test_oracle_sql_reads_only_registered_goldens(probe):
     for name in probe["goldens"]:
         for entry in (name, *probe["also_checked"].get(name, ())):
             assert f"goldens/sf0.01/{name}.parquet" in probe["oracle_sql"][entry]
+
+
+def test_oracle_sql_reads_goldens_beside_entry_file(tmp_path, monkeypatch):
+    """oracle_sql() names the goldens of the checkout its file sits in, so
+    a second checkout gate-checks its own goldens."""
+    import importlib.util
+    import shutil
+
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the file prepends its dir
+    path = tmp_path / "__ray_entry__.py"
+    shutil.copy(os.path.join(REPO, "__ray_entry__.py"), path)
+    spec = importlib.util.spec_from_file_location("entry_copy", path)
+    m = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(m)
+    want = f"read_parquet('{tmp_path}/goldens/sf0.01/wide_report.parquet')"
+    assert want in m.oracle_sql()["wide_report"]

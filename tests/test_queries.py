@@ -2,12 +2,16 @@
 oracle_sql() twin must match DuckDB on row count, column names, and
 order-insensitive values (mirroring the driver's comparison) at sf0.001."""
 
+import os
+
 import duckdb
 import numpy as np
 import pandas as pd
 import pytest
 
 SF = "/root/testdata/sf0.001"
+GOLDENS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                       "goldens", "sf0.01")
 TABLES = ["region", "nation", "customer", "supplier", "part", "orders",
           "lineitem", "events", "documents", "embeddings"]
 
@@ -186,7 +190,7 @@ def test_query_matches_spec_golden(entrymod, name):
     import pyarrow.parquet as pq
 
     got = _canon(_to_df(entrymod.queries()[name]("/root/testdata/sf0.01")))
-    want = _canon(pq.read_table(f"/root/repo/goldens/sf0.01/{name}.parquet").to_pandas())
+    want = _canon(pq.read_table(os.path.join(GOLDENS, f"{name}.parquet")).to_pandas())
     pd.testing.assert_frame_equal(got, want, check_dtype=False)
 
 

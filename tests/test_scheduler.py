@@ -21,8 +21,8 @@ def fixture_dir(ray_session):
     return C.ensure_fixtures(N, n_days=3, use_ray=False)
 
 
-def _mini_df(n=20, hosts=2):
-    rng = np.random.default_rng(7)
+def _mini_df(n=20, hosts=2, seed=7):
+    rng = np.random.default_rng(seed)
     pri = rng.random(n) * 10
     return pd.DataFrame(
         {
@@ -121,17 +121,20 @@ def test_heap_never_compares_row_payloads():
 
 
 def test_pop_roundtrip_preserves_dtypes():
+    def frame(seed):
+        return _mini_df(8, seed=seed).assign(
+            rank32=np.arange(8, dtype=np.int32),
+            flag=np.array([0, 1] * 4, dtype=np.int64),
+        )
+
     fr = ShardedFrontier(2, use_actors=False)
-    df = _mini_df(8).assign(
-        rank32=np.arange(8, dtype=np.int32),
-        flag=np.array([0, 1] * 4, dtype=np.int64),
-    )
-    fr.push_pandas(df)
+    fr.push_pandas(frame(7))
     out, _ = _staged_wave(fr, 8, _open_gate())
     assert str(out["rank32"].dtype) == "int32"
     assert str(out["priority"].dtype) == "float64"
-    # snapshot/restore keeps the dtype map too
-    fr.push_pandas(df)
+    # snapshot/restore keeps the dtype map too (fresh keys: the first
+    # frame's URLs are already seen)
+    assert fr.push_pandas(frame(8)) == 8
     fr2 = ShardedFrontier(2, use_actors=False)
     fr2.restore(fr.snapshot())
     out2, _ = _staged_wave(fr2, 8, _open_gate())
@@ -217,6 +220,12 @@ def test_kill_resume_byte_identical(fixture_dir, tmp_path):
     )
     assert killed["counters"]["rounds"] == 3
     assert len(killed["long"]) < len(full["long"])  # genuinely interrupted
+    # one blob per hash-range actor (its heap and seen set together)
+    import pickle
+
+    with open(f"{ck}/state.pkl", "rb") as f:
+        st = pickle.load(f)
+    assert len(st["frontier"]) == cfg.seen_shards and "seen" not in st
     resumed = scheduler.run_scheduled_crawl(
         fixture_dir, cfg, wave_size=97, concurrency=1,
         ckpt_dir=ck

@@ -2,7 +2,6 @@
 cuckoo-fronted seen shards, politeness token bucket, corpus store."""
 
 import hashlib
-import pickle
 
 import pytest
 
@@ -118,38 +117,67 @@ def test_corpus_store_head_get(tmp_path):
     assert meta["caption"] == t["caption"][0].as_py()
 
 
-def test_sharded_seen_actor_pool(ray_session):
-    from cninfo_crawler_ray.state.seen import ShardedSeenSet
-
-    pool = ShardedSeenSet(4)
-    keys = _keys(1000)
-    assert all(pool.contains_and_add(keys))
-    assert not any(pool.contains_and_add(keys))
-    assert pool.total() == 1000
-    snap = pool.snapshot()
-    # each key sits in the hash-range shard of its leading big-endian u32
-    # (checkpoint partitions: snapshots and resume depend on it)
-    width = (1 << 32) // 4 + 1
-    assert [pickle.loads(b)[1] for b in snap] == [
-        {k for k in keys if int.from_bytes(k[:4], "big") // width == s}
-        for s in range(4)]
-    pool2 = ShardedSeenSet(4)
-    pool2.restore(snap)
-    assert not any(pool2.contains_and_add(keys))
-    assert pool2.total() == 1000
-
-    # the frontier heap shards route by the same hash ranges
+def _frontier_frame(keys, order=0):
     import pandas as pd
 
+    return pd.DataFrame({"priority": 1.0,
+                         "order_key": range(order, order + len(keys)),
+                         "url_sha1": [k.hex() for k in keys]})
+
+
+def _range_of(keys, s, n):
+    # each key sits in the hash range of its leading big-endian u32
+    # (checkpoint partitions: snapshots and resume depend on it)
+    width = (1 << 32) // n + 1
+    return {k for k in keys if int.from_bytes(k[:4], "big") // width == s}
+
+
+def test_range_actors_hold_seen_set_and_heap(ray_session):
+    """One state actor per hash range: batch admission and the heap push
+    reach the same FrontierShard actors, and each range's snapshot holds
+    only its own range's seen keys and heap rows."""
+    from cninfo_crawler_ray.state.frontier import (FrontierShard,
+                                                   ShardedFrontier, admit)
+
+    keys = _keys(1000)
+    raw = b"".join(keys)
+    fr = ShardedFrontier(4)
+    assert admit(fr.shards, raw).all()
+    assert not admit(fr.shards, raw).any()
+    assert fr.seen_total() == 1000 and fr.total() == 0
+    more = _keys(500, "more")
+    assert fr.push_pandas(_frontier_frame(more)) == 500
+    assert fr.seen_total() == 1500 and fr.total() == 500
+    snap = fr.snapshot()
+    assert len(snap) == 4
+    for s, blob in enumerate(snap):
+        sh = FrontierShard()
+        sh.restore(blob)
+        assert sh.seen.exact == _range_of(keys + more, s, 4)
+        assert {bytes.fromhex(e[3][2]) for e in sh.heap} == _range_of(more, s, 4)
+    fr2 = ShardedFrontier(4)
+    fr2.restore(snap)
+    assert not admit(fr2.shards, raw).any()
+    assert fr2.seen_total() == 1500 and fr2.total() == 500
+
+
+def test_push_admits_each_url_once():
+    """push_pandas goes through the range's seen set: a frame pushed twice
+    admits nothing the second time, a repeated url_sha1 keeps its first
+    row, and a restored range still rejects the keys it had seen."""
     from cninfo_crawler_ray.state.frontier import ShardedFrontier
 
-    fr = ShardedFrontier(4)
-    fr.push_pandas(pd.DataFrame({"priority": 1.0, "order_key": range(1000),
-                                 "url_sha1": [k.hex() for k in keys]}))
-    heaps = [pickle.loads(b)[3] for b in fr.snapshot()]
-    assert [{bytes.fromhex(e[3][2]) for e in h} for h in heaps] == [
-        {k for k in keys if int.from_bytes(k[:4], "big") // width == s}
-        for s in range(4)]
+    fr = ShardedFrontier(2, use_actors=False)
+    df = _frontier_frame(_keys(40))
+    assert fr.push_pandas(df) == 40
+    assert fr.push_pandas(df) == 0 and fr.total() == 40
+    k = _keys(1, "dup")
+    assert fr.push_pandas(_frontier_frame(k + k, order=100)) == 1
+    heap = [e for sh in fr.shards for e in sh.heap if e[3][2] == k[0].hex()]
+    assert [e[1] for e in heap] == [100]  # the first row's order_key
+    fr2 = ShardedFrontier(2, use_actors=False)
+    fr2.restore(fr.snapshot())
+    assert fr2.push_pandas(df) == 0 and fr2.total() == 41
 
 
 def test_robots_txt_parser_groups_and_delay():

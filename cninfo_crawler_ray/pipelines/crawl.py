@@ -2,23 +2,52 @@
 fetch → decode/validate/extract → long + wide reports.
 
 This is the full composition (SURVEY.md §8): stage 1 builds the frontier in
-canonical order; admission consults the cuckoo-fronted URL-seen sets held by
-the per-hash-range state actors (``state/frontier.FrontierShard``; exact-set
-backed, so the final URL-seen set matches the oracle's regardless of
-parallelism); the per-host politeness budget is replayed over the admitted
-hosts to report the virtual ticks it would wait (the scheduler path enforces
-it); stage 2 streams fetch→decode→extract into the long/wide reductions.
+canonical order while the per-hash-range state actors
+(``state/frontier.FrontierShard``) start; admission runs in plain map tasks
+that consult the actors' cuckoo-fronted URL-seen sets (exact-set backed, so
+the final URL-seen set matches the oracle's regardless of parallelism); the
+per-host politeness budget is replayed over the admitted hosts, counted per
+block, to report the virtual ticks it would wait (the scheduler path
+enforces it); stage 2 streams fetch→decode→extract into the long/wide
+reductions.
 """
 
 from __future__ import annotations
 
 import pandas as pd
+import pyarrow as pa
+import pyarrow.compute as pc
 
 from ..config import CrawlConfig
 from ..sources import corpus as fixtures
 from ..state.frontier import ShardedFrontier, admit
 from ..state.politeness import PolitenessGate
 from . import stage1, stage2
+
+
+def _admit_batch(df: pd.DataFrame, shards) -> pd.DataFrame:
+    """Keep the batch's rows whose URL the range actors' seen sets have not
+    seen. Within a batch the first of a repeated URL wins, so a frontier
+    admitted in order keeps each URL's lowest-``order_key`` row."""
+    if len(df) == 0:
+        return df
+    return df[admit(shards, bytes.fromhex("".join(df["url_sha1"])))]
+
+
+def _block_host_counts(t: pa.Table) -> pa.Table:
+    """One block's rows per host."""
+    vc = pc.value_counts(t["host"])
+    return pa.table({"host": vc.field("values"), "n": vc.field("counts")})
+
+
+def _host_counts(frontier) -> dict[str, int]:
+    """Rows per host of a Dataset: per-block value counts summed on the
+    driver (one row per host and block reaches it; no exchange)."""
+    parts = frontier.map_batches(_block_host_counts, batch_format="pyarrow",
+                                 batch_size=None).to_pandas()
+    if parts.empty:
+        return {}
+    return {h: int(n) for h, n in parts.groupby("host")["n"].sum().items()}
 
 
 def _grant_schedule(host_counts: dict[str, int], gate) -> int:
@@ -68,47 +97,39 @@ def run_crawl(
     burst)."""
     cfg = cfg or CrawlConfig()
     fdir = fixtures.ensure_fixtures(n_images)
-    frontier = stage1.build_frontier(fdir, cfg, concurrency=concurrency).materialize()
+    # the range actors start while stage 1 runs
+    fr = ShardedFrontier(cfg.seen_shards)
+    try:
+        frontier = stage1.build_frontier(
+            fdir, cfg, concurrency=concurrency).materialize()
 
-    counters = {"frontier_rows": frontier.count()}
-    if counters["frontier_rows"]:
-        # URL-seen admission (T2) runs INSIDE the map tasks (each batch RPCs
-        # the range actors' seen sets and keeps only first-seen rows) — the
-        # frontier never lands on the driver for admission. A URL listed
-        # under several stock codes arrives once per code; one row passes.
-        fr = ShardedFrontier(cfg.seen_shards)
+        counters = {"frontier_rows": frontier.count()}
+        if counters["frontier_rows"]:
+            # URL-seen admission (T2) runs INSIDE plain map tasks (each batch
+            # RPCs the range actors' seen sets and keeps only first-seen
+            # rows) — the frontier never lands on the driver for admission.
+            # A URL listed under several stock codes arrives once per code;
+            # one row passes. It is the lowest-order_key row only because
+            # stage 1's sort leaves the frontier in one block, which one task
+            # admits in order (state/seen.py).
+            frontier = frontier.map_batches(
+                _admit_batch, fn_kwargs={"shards": fr.shards},
+                batch_format="pandas", batch_size=4096,
+            ).materialize()
+            counters["seen_admitted"] = frontier.count()
+            counters["seen_total"] = fr.seen_total()
 
-        class Admit:
-            def __init__(self, shards):
-                self.shards = shards
-
-            def __call__(self, df: pd.DataFrame) -> pd.DataFrame:
-                if len(df) == 0:
-                    return df
-                raw = bytes.fromhex("".join(df["url_sha1"]))
-                return df[admit(self.shards, raw)]
-
-        frontier = frontier.map_batches(
-            Admit, fn_constructor_args=(fr.shards,), batch_format="pandas",
-            batch_size=4096, concurrency=(1, 8), num_cpus=0.5,
-        ).materialize()
-        counters["seen_admitted"] = frontier.count()
-        counters["seen_total"] = fr.seen_total()
-
-        # politeness (T3): the grant schedule over per-host ADMITTED counts
-        # (a tiny Ray aggregate — one row per host), replayed through the
-        # same round loop as the scheduler so both paths report the same
-        # wait ticks
-        from ray.data.aggregate import Count
-
-        host_counts_df = (frontier.groupby("host")
-                          .aggregate(Count(alias_name="n")).to_pandas())
-        gate = PolitenessGate(rate_per_second=cfg.host_rate, burst=cfg.host_burst,
-                              ticks_per_second=cfg.ticks_per_second)
-        for host, (rate, burst) in (gate_overrides or {}).items():
-            gate.set_host_rate(host, rate, burst)
-        counters["politeness_wait_ticks"] = _grant_schedule(
-            dict(zip(host_counts_df["host"], host_counts_df["n"])), gate)
+            # politeness (T3): the grant schedule over per-host ADMITTED
+            # counts, replayed through the same round loop as the scheduler
+            # so both paths report the same wait ticks
+            gate = PolitenessGate(rate_per_second=cfg.host_rate, burst=cfg.host_burst,
+                                  ticks_per_second=cfg.ticks_per_second)
+            for host, (rate, burst) in (gate_overrides or {}).items():
+                gate.set_host_rate(host, rate, burst)
+            counters["politeness_wait_ticks"] = _grant_schedule(
+                _host_counts(frontier), gate)
+    finally:
+        fr.close()
 
     decoded = stage2.fetch_decode(frontier, f"{fdir}/corpus.parquet", cfg, concurrency=concurrency)
     long_df, wide_df = stage2.reports(stage2.long_from_decoded(decoded))

@@ -64,26 +64,19 @@ def _ckpt_paths(st, ckpt_dir: str) -> tuple[str, str]:
     return st.join(ckpt_dir, "state.pkl"), st.join(ckpt_dir, "rounds")
 
 
-class _SeedBatch:
-    """Worker-side frontier seeding (scale path): each map task sends its
-    batch's rows to the range actors with ``push_rows`` (one admit-and-push
-    RPC per touched range: exact seen-set admission, then the heap push) —
-    the frontier never materializes on the driver. Heap pop order keys on
-    the unique (priority, order_key), so which worker pushed a row never
-    matters."""
-
-    def __init__(self, frontier_shards, columns: list[str],
-                 dtypes: list[str]):
-        self.frontier_shards = frontier_shards
-        self.columns = columns
-        self.dtypes = dtypes
-
-    def __call__(self, df: pd.DataFrame) -> pd.DataFrame:
-        if len(df) == 0:
-            return pd.DataFrame({"admitted": pd.Series([], dtype="int64")})
-        df = df[self.columns]  # canonical column order for heap row layout
-        n = push_rows(self.frontier_shards, df, self.dtypes)
-        return pd.DataFrame({"admitted": [n]})
+def _seed_batch(df: pd.DataFrame, *, frontier_shards, columns: list[str],
+                dtypes: list[str]) -> pd.DataFrame:
+    """Worker-side frontier seeding (scale path), run in plain map tasks:
+    each task sends its batch's rows to the range actors with ``push_rows``
+    (one admit-and-push RPC per touched range: exact seen-set admission,
+    then the heap push) — the frontier never materializes on the driver.
+    Heap pop order keys on the unique (priority, order_key), so which task
+    pushed a row never matters."""
+    if len(df) == 0:
+        return pd.DataFrame({"admitted": pd.Series([], dtype="int64")})
+    df = df[columns]  # canonical column order for heap row layout
+    n = push_rows(frontier_shards, df, dtypes)
+    return pd.DataFrame({"admitted": [n]})
 
 
 def _write_round(long_round: rd.Dataset, st, rounds_dir: str, round_no: int,
@@ -160,96 +153,101 @@ def run_scheduled_crawl(
     for host, prefixes in (robots or {}).items():
         gate.set_robots(host, prefixes)
     fr = ShardedFrontier(cfg.seen_shards, spill_threshold=cfg.frontier_spill_rows)
-    counters = {"rounds": 0, "empty_waves": 0, "politeness_wait_ticks": 0,
-                "robots_denied": 0, "dead_lettered": 0,
-                "round_ticks": [], "round_admitted": []}  # gate tick +
-    # admitted count at each admitted round — the executed admission schedule
-    rounds = 0
+    try:
+        counters = {"rounds": 0, "empty_waves": 0, "politeness_wait_ticks": 0,
+                    "robots_denied": 0, "dead_lettered": 0,
+                    "round_ticks": [], "round_admitted": []}  # gate tick +
+        # admitted count at each admitted round — the executed admission schedule
+        rounds = 0
 
-    state_path = rounds_dir = None
-    own_rounds_dir = None
-    if ckpt_dir:
-        storage = storage_for(ckpt_dir)
-        state_path, rounds_dir = _ckpt_paths(storage, ckpt_dir)
-        storage.makedirs(rounds_dir)
-    else:
-        # non-checkpointed runs still stream rounds through parquet (never
-        # driver lists); the scratch dir is discarded at the end
-        import tempfile
-
-        storage = storage_for("")
-        own_rounds_dir = tempfile.mkdtemp(prefix="sched_rounds_")
-        rounds_dir = own_rounds_dir
-
-    if state_path and storage.exists(state_path):
-        # resume: restore range actors and gate; completed rounds stay on disk
-        st = pickle.loads(storage.read_bytes(state_path))
-        _check_lineage(storage, rounds_dir, st["rounds"], st["counters"])
-        fr.restore(st["frontier"])
-        gate.restore(st["gate"])
-        rounds = st["rounds"]
-        counters.update(st["counters"])
-    else:
-        # materialized: the head read and the seeding map below each
-        # consume it, and a lazy plan would run stage 1 once per read
-        frontier_ds = stage1.build_frontier(
-            fixture_dir, cfg, concurrency=concurrency).materialize()
-        # distributed seed: the admit-and-push RPCs happen inside the map
-        # tasks; only per-batch counts (and one metadata row) reach the
-        # driver
-        head = frontier_ds.limit(1).to_pandas()
-        cols = list(head.columns)
-        dtypes = [str(t) for t in head.dtypes]
-        stats = frontier_ds.map_batches(
-            _SeedBatch,
-            fn_constructor_args=(fr.shards, cols, dtypes),
-            batch_format="pandas", batch_size=4096,
-            concurrency=(1, 8), num_cpus=0.5,
-        ).to_pandas()
-        fr.columns, fr.dtypes = cols, dtypes
-        counters["frontier_rows"] = int(stats["admitted"].sum())
-
-    consecutive_empty = 0
-    while fr.total() > 0 and rounds < max_rounds:
-        # staged admission (VERDICT r02 §3): the driver sees only compact
-        # candidate keys + verdict counters; admitted rows stay in shard
-        # outboxes and flow shard → fetch worker via wave_dataset below
-        verdict = fr.pop_admissible_staged(wave_size, gate)
-        counters["robots_denied"] += verdict["dead"].get("robots", 0)
-        counters["dead_lettered"] += sum(verdict["dead"].values())
-        n_admitted = sum(verdict["admitted"])
-        if n_admitted == 0:
-            counters["empty_waves"] += 1
-            consecutive_empty += 1
-            if consecutive_empty > MAX_CONSECUTIVE_EMPTY_WAVES:
-                raise RuntimeError(
-                    "frontier stalled: >%d consecutive fully-denied waves "
-                    "(hosts: %s)" % (MAX_CONSECUTIVE_EMPTY_WAVES, fr.last_denied_hosts))
-            # advance the virtual clock by exactly the soonest refill among
-            # the denied hosts (zero-rate hosts were dead-lettered above; a
-            # wave lost wholly to robots has no denied host: one tick)
-            adv = gate.soonest_refill(fr.last_denied_hosts) or 1
-            gate.advance(adv)
-            counters["politeness_wait_ticks"] += adv
-            continue
-        consecutive_empty = 0
-        rounds += 1
-        counters["round_ticks"].append(gate.now_tick)
-        counters["round_admitted"].append(n_admitted)
-        ds = fr.wave_dataset(verdict["admitted"])
-        decoded = stage2.fetch_decode(ds, corpus_path, cfg, concurrency=concurrency,
-                                      nrows_hint=n_admitted)
-        _write_round(stage2.long_from_decoded(decoded), storage, rounds_dir,
-                     rounds, {"round": rounds, "tick": gate.now_tick,
-                              "admitted": verdict["admitted"]})
-        counters["rounds"] = rounds
+        state_path = rounds_dir = None
+        own_rounds_dir = None
         if ckpt_dir:
-            # round data is durably committed; now the state that marks it done
-            storage.write_bytes_atomic(state_path, pickle.dumps({
-                "frontier": fr.snapshot(), "gate": gate.snapshot(),
-                "rounds": rounds, "counters": counters,
-            }))
-    counters["rounds"] = rounds
+            storage = storage_for(ckpt_dir)
+            state_path, rounds_dir = _ckpt_paths(storage, ckpt_dir)
+            storage.makedirs(rounds_dir)
+        else:
+            # non-checkpointed runs still stream rounds through parquet (never
+            # driver lists); the scratch dir is discarded at the end
+            import tempfile
+
+            storage = storage_for("")
+            own_rounds_dir = tempfile.mkdtemp(prefix="sched_rounds_")
+            rounds_dir = own_rounds_dir
+
+        if state_path and storage.exists(state_path):
+            # resume: restore range actors and gate; completed rounds stay on disk
+            st = pickle.loads(storage.read_bytes(state_path))
+            _check_lineage(storage, rounds_dir, st["rounds"], st["counters"])
+            fr.restore(st["frontier"])
+            gate.restore(st["gate"])
+            rounds = st["rounds"]
+            counters.update(st["counters"])
+        else:
+            # materialized: the head read and the seeding map below each
+            # consume it, and a lazy plan would run stage 1 once per read
+            frontier_ds = stage1.build_frontier(
+                fixture_dir, cfg, concurrency=concurrency).materialize()
+            # distributed seed: the admit-and-push RPCs happen inside the map
+            # tasks; only per-batch counts (and one metadata row) reach the
+            # driver
+            head = frontier_ds.limit(1).to_pandas()
+            cols = list(head.columns)
+            dtypes = [str(t) for t in head.dtypes]
+            stats = frontier_ds.map_batches(
+                _seed_batch,
+                fn_kwargs={"frontier_shards": fr.shards, "columns": cols,
+                           "dtypes": dtypes},
+                batch_format="pandas", batch_size=4096,
+            ).to_pandas()
+            fr.columns, fr.dtypes = cols, dtypes
+            counters["frontier_rows"] = int(stats["admitted"].sum())
+
+        consecutive_empty = 0
+        while fr.total() > 0 and rounds < max_rounds:
+            # staged admission (VERDICT r02 §3): the driver sees only compact
+            # candidate keys + verdict counters; admitted rows stay in shard
+            # outboxes and flow shard → fetch worker via wave_dataset below
+            verdict = fr.pop_admissible_staged(wave_size, gate)
+            counters["robots_denied"] += verdict["dead"].get("robots", 0)
+            counters["dead_lettered"] += sum(verdict["dead"].values())
+            n_admitted = sum(verdict["admitted"])
+            if n_admitted == 0:
+                counters["empty_waves"] += 1
+                consecutive_empty += 1
+                if consecutive_empty > MAX_CONSECUTIVE_EMPTY_WAVES:
+                    raise RuntimeError(
+                        "frontier stalled: >%d consecutive fully-denied waves "
+                        "(hosts: %s)" % (MAX_CONSECUTIVE_EMPTY_WAVES,
+                                         fr.last_denied_hosts))
+                # advance the virtual clock by exactly the soonest refill among
+                # the denied hosts (zero-rate hosts were dead-lettered above; a
+                # wave lost wholly to robots has no denied host: one tick)
+                adv = gate.soonest_refill(fr.last_denied_hosts) or 1
+                gate.advance(adv)
+                counters["politeness_wait_ticks"] += adv
+                continue
+            consecutive_empty = 0
+            rounds += 1
+            counters["round_ticks"].append(gate.now_tick)
+            counters["round_admitted"].append(n_admitted)
+            ds = fr.wave_dataset(verdict["admitted"])
+            decoded = stage2.fetch_decode(ds, corpus_path, cfg, concurrency=concurrency,
+                                          nrows_hint=n_admitted)
+            _write_round(stage2.long_from_decoded(decoded), storage, rounds_dir,
+                         rounds, {"round": rounds, "tick": gate.now_tick,
+                                  "admitted": verdict["admitted"]})
+            counters["rounds"] = rounds
+            if ckpt_dir:
+                # round data is durably committed; now the state that marks it done
+                storage.write_bytes_atomic(state_path, pickle.dumps({
+                    "frontier": fr.snapshot(), "gate": gate.snapshot(),
+                    "rounds": rounds, "counters": counters,
+                }))
+        counters["rounds"] = rounds
+        seen_total = fr.seen_total()
+    finally:
+        fr.close()
 
     try:
         round_files = storage.round_files(rounds_dir, rounds) if rounds > 0 else []
@@ -265,4 +263,4 @@ def run_scheduled_crawl(
     counters["long_rows"] = len(long_df)
     counters["wide_rows"] = len(wide_df)
     return {"long": long_df, "wide": wide_df, "counters": counters,
-            "seen_total": fr.seen_total()}
+            "seen_total": seen_total}

@@ -9,7 +9,8 @@ Ray-Data shape (SURVEY.md §3.2 traced → §7.6-7.8):
 
 ``reports`` materializes the long rows once and builds both report views
 from them; the wide pivot runs on ``functions/bucketed``'s keyed-reduce
-skeleton, its partition count sized from the long row count.
+skeleton, its partition count sized from the long row count (the
+materialized rows' metadata, so no count pass).
 
 Checkpointed resume is the round scheduler's (pipelines/scheduler.py): each
 round's long rows commit through state/storage.py with a lineage record,
@@ -193,9 +194,12 @@ def _wide_bucket(df: pd.DataFrame) -> pd.DataFrame:
 
 def wide_from_long(long_ds: rd.Dataset) -> rd.Dataset:
     """A5+A6+J3 in one bucketed keyed reduction over the document URL, its
-    partition count sized from the long row count."""
+    partition count sized from the long row count. The long rows are
+    materialized first, so the count is their metadata; rows that arrive
+    materialized (``reports``) pay no extra pass."""
+    long_ds = long_ds.materialize()
     return bucketed_map_groups(long_ds, ["PDF链接"], _wide_bucket,
-                               auto_parallelism=True)
+                               nrows_hint=long_ds.count())
 
 
 # ---------------------------------------------------------------------------

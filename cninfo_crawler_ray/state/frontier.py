@@ -518,6 +518,16 @@ class ShardedFrontier:
         return (pd.concat(frames, ignore_index=True)
                 if frames else pd.DataFrame())
 
+    def close(self) -> None:
+        """End the range actors. Map tasks handed the shard handles (seeding,
+        admission, wave pulls) can keep them alive after the driver drops
+        its own, so a crawl ends them when it is done with them."""
+        if self.use_actors:
+            import ray
+
+            for s in self.shards:
+                ray.kill(s)
+
     def snapshot(self) -> list[bytes]:
         return self._calls("snapshot", [() for _ in self.shards])
 

@@ -16,11 +16,13 @@ The reference's in-flight dedup is a driver-local Python ``set`` over a raw
   round trip per map_batches batch, not per URL,
 - snapshot/restore for checkpointed resume (inside the range actor's blob).
 
-Determinism: "first occurrence wins" is defined by the canonical order key,
-not arrival order — callers that need the deterministic winner among
-duplicates resolve it with a groupby-argmin *before* consulting the seen set
-(SURVEY.md §3.4); the range actors are the streaming/incremental admission
-gate.
+Determinism: the seen set keeps whichever row of a repeated key reaches it
+first, i.e. arrival order. The crawl gets the canonical winner (the lowest
+``order_key``, SURVEY.md §3.4) only because it admits stage 1's sorted
+frontier in order: that sort leaves the frontier in one block, which one map
+task sends batch by batch, in row order (tests/test_scheduler.py checks the
+winner on both crawl paths). With a multi-block frontier, tasks admit
+concurrently and which row wins stays a race.
 """
 
 from __future__ import annotations

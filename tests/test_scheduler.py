@@ -21,6 +21,24 @@ def fixture_dir(ray_session):
     return C.ensure_fixtures(N, n_days=3, use_ray=False)
 
 
+@pytest.fixture(scope="module")
+def frontier_df(fixture_dir):
+    """Stage 1's frontier: one row per stock code, so a URL listed under
+    several codes has several rows."""
+    from cninfo_crawler_ray.pipelines import stage1
+
+    return stage1.build_frontier(fixture_dir, CrawlConfig()).to_pandas()
+
+
+@pytest.fixture(scope="module")
+def sched97(fixture_dir):
+    """An uninterrupted scheduled crawl at a wave size that forces many
+    rounds: the reference the kill/resume tests compare against."""
+    return scheduler.run_scheduled_crawl(
+        fixture_dir, CrawlConfig(), wave_size=97, concurrency=1
+    )
+
+
 def _mini_df(n=20, hosts=2, seed=7):
     rng = np.random.default_rng(seed)
     pri = rng.random(n) * 10
@@ -206,13 +224,11 @@ def test_scheduled_crawl_with_robots_and_slow_host(fixture_dir):
     pd.testing.assert_frame_equal(slow["wide"], base["wide"])
 
 
-def test_kill_resume_byte_identical(fixture_dir, tmp_path):
+def test_kill_resume_byte_identical(fixture_dir, tmp_path, sched97):
     """North rule: kill after ≥1 checkpointed round, resume, and the final
     long/wide tables are byte-identical to an uninterrupted run."""
     cfg = CrawlConfig()
-    full = scheduler.run_scheduled_crawl(
-        fixture_dir, cfg, wave_size=97, concurrency=1
-    )
+    full = sched97
     ck = str(tmp_path / "ck")
     killed = scheduler.run_scheduled_crawl(
         fixture_dir, cfg, wave_size=97, concurrency=1,
@@ -235,7 +251,7 @@ def test_kill_resume_byte_identical(fixture_dir, tmp_path):
     pd.testing.assert_frame_equal(resumed["wide"], full["wide"])
 
 
-def test_kill_resume_through_fsspec_storage(fixture_dir, tmp_path):
+def test_kill_resume_through_fsspec_storage(fixture_dir, tmp_path, sched97):
     """VERDICT r03 item 5: the checkpoint dir routed through the fsspec
     storage backend (``file://`` URL → FsspecStorage, the generic
     no-atomic-rename protocol with _COMMITTED marker objects) must give the
@@ -246,9 +262,7 @@ def test_kill_resume_through_fsspec_storage(fixture_dir, tmp_path):
     from cninfo_crawler_ray.state.storage import FsspecStorage, storage_for
 
     cfg = CrawlConfig()
-    full = scheduler.run_scheduled_crawl(
-        fixture_dir, cfg, wave_size=97, concurrency=1
-    )
+    full = sched97
     ck_local = tmp_path / "ck_fs"
     ck = f"file://{ck_local}"
     assert isinstance(storage_for(ck), FsspecStorage)
@@ -277,19 +291,19 @@ def test_kill_resume_through_fsspec_storage(fixture_dir, tmp_path):
 
 
 def test_stream_error_midrun_then_resume_byte_identical(fixture_dir,
-                                                        tmp_path):
+                                                        tmp_path, sched97,
+                                                        monkeypatch):
     """Stream-close-on-error (VERDICT r03 request): a fetch worker that
     RAISES mid-stream — not a cooperative kill — must (a) propagate the
     error out of the streaming execution instead of hanging, (b) leave the
     checkpoint uncorrupted (only fully committed rounds; a partial .tmp is
-    GC'd on resume), and (c) let a rerun with the same ckpt_dir finish
-    byte-identically to an uninterrupted run."""
+    GC'd on resume), (c) end the failed run's range actors, and (d) let a
+    rerun with the same ckpt_dir finish byte-identically to an
+    uninterrupted run."""
     import os
 
     cfg = CrawlConfig()
-    full = scheduler.run_scheduled_crawl(
-        fixture_dir, cfg, wave_size=97, concurrency=1
-    )
+    full = sched97
     ck = str(tmp_path / "ck")
     # phase 1: clean partial run commits 2 rounds
     part = scheduler.run_scheduled_crawl(
@@ -306,11 +320,14 @@ def test_stream_error_midrun_then_resume_byte_identical(fixture_dir,
     marker = str(tmp_path / "fault_marker")
     open(marker, "w").close()
     fcfg = CrawlConfig(fault_inject_path=marker)
+    made = _track_frontiers(monkeypatch)
     with pytest.raises(Exception, match="fault-injection"):
         scheduler.run_scheduled_crawl(
             fixture_dir, fcfg, wave_size=97, concurrency=1,
             ckpt_dir=ck
         )
+    assert len(made) == 1
+    _assert_actors_ended(made)
     # checkpoint integrity: no new COMMITTED round appeared during the
     # failed attempt (a .tmp partial is allowed — resume GCs it)
     after = sorted(d for d in os.listdir(rounds_dir)
@@ -327,24 +344,61 @@ def test_stream_error_midrun_then_resume_byte_identical(fixture_dir,
     pd.testing.assert_frame_equal(resumed["wide"], full["wide"])
 
 
-def test_scheduled_equals_batch_pipeline(fixture_dir):
+def test_scheduled_equals_batch_pipeline(fixture_dir, sched97):
     """The round-based scheduler must produce byte-identical long/wide
     tables to the batch path, at a wave size that forces many rounds.
     Both paths use seen-set admission (duplicate URLs across stock codes
     are admitted once — the scheduler's frontier is URL-keyed)."""
     batch = crawl.run_crawl(N)
-    cfg = CrawlConfig()
-    sched = scheduler.run_scheduled_crawl(
-        fixture_dir, cfg, wave_size=97, concurrency=1
-    )
-    assert sched["counters"]["rounds"] > 3
-    pd.testing.assert_frame_equal(sched["long"], batch["long"])
-    pd.testing.assert_frame_equal(sched["wide"], batch["wide"])
+    assert sched97["counters"]["rounds"] > 3
+    pd.testing.assert_frame_equal(sched97["long"], batch["long"])
+    pd.testing.assert_frame_equal(sched97["wide"], batch["wide"])
+
+
+def test_duplicate_url_keeps_lowest_order_key_row(fixture_dir, monkeypatch):
+    """A URL listed under several stock codes is admitted once, and both
+    crawl paths keep its lowest-``order_key`` row (SURVEY.md §3.4): the
+    code, company and date its reports carry are that row's. This fixture
+    lists each URL under one code, so stage 1's output is tapped to relist
+    some rows' URLs under the next row's code; the tap keeps stage 1's
+    sorted blocks as they are."""
+    from cninfo_crawler_ray.pipelines import stage1
+
+    def relist(df):
+        df = df.copy()
+        codes = df["股票代码"].to_numpy()
+        i = np.arange(1, len(df), 10)
+        i = i[codes[i] != codes[i - 1]]
+        for c in ("PDF链接", "url_sha1", "host"):
+            j = df.columns.get_loc(c)
+            df.iloc[i, j] = df.iloc[i - 1, j].to_numpy()
+        return df
+
+    real = stage1.build_frontier
+    monkeypatch.setattr(stage1, "build_frontier", lambda *a, **kw: real(
+        *a, **kw).map_batches(relist, batch_format="pandas", batch_size=None))
+    frontier = stage1.build_frontier(fixture_dir, CrawlConfig()).to_pandas()
+    codes = frontier.groupby("PDF链接")["股票代码"].nunique()
+    dup_urls = set(codes.index[codes >= 2])
+    assert dup_urls  # the tapped frontier exercises the tie
+    winner = (frontier.sort_values("order_key", kind="stable")
+              .drop_duplicates("PDF链接").set_index("PDF链接"))
+    batch = crawl.run_crawl(N)
+    sched = scheduler.run_scheduled_crawl(fixture_dir, wave_size=97,
+                                          concurrency=1)
+    for out in (batch, sched):
+        for view in ("wide", "long"):
+            got = out[view][out[view]["PDF链接"].isin(dup_urls)]
+            assert len(got) > 0
+            want = winner.loc[got["PDF链接"]]
+            assert list(got["证券代码"]) == list(want["股票代码"])
+            assert list(got["公司名称"]) == list(want["公司名称"])
+            assert list(got["报告日期"]) == list(want["报告日期"])
 
 
 @pytest.mark.parametrize("backend", ["local", "fsspec"])
 def test_kill_between_round_commit_and_state_flush(fixture_dir, tmp_path,
-                                                   backend):
+                                                   backend, sched97):
     """ADVICE r02: a kill AFTER round N's commit but BEFORE the state.pkl
     flush leaves round N committed while state says N-1. The resume
     recomputes round N (deterministic) and must replace the committed round
@@ -352,9 +406,7 @@ def test_kill_between_round_commit_and_state_flush(fixture_dir, tmp_path,
     ck_local = tmp_path / "ck"
     ck = str(ck_local) if backend == "local" else f"file://{ck_local}"
     cfg = CrawlConfig()
-    full = scheduler.run_scheduled_crawl(
-        fixture_dir, cfg, wave_size=97, concurrency=1
-    )
+    full = sched97
 
     def run(**kw):
         return scheduler.run_scheduled_crawl(
@@ -562,16 +614,13 @@ def test_spill_staged_admission_identical():
 # batch-path politeness (VERDICT r02 §6)
 # ---------------------------------------------------------------------------
 
-def test_batch_enforce_schedule_equals_scheduler(fixture_dir):
+def test_batch_enforce_schedule_equals_scheduler(fixture_dir, frontier_df):
     """Under a binding per-host budget, run_crawl reports exactly the wait
     the scheduler executes (its grant-schedule replay runs the scheduler's
     round loop), and the budget never changes the reports."""
     # find a host carrying many frontier URLs, then throttle it hard
-    from cninfo_crawler_ray.pipelines import stage1
-
     cfg = CrawlConfig()
-    fdf = stage1.build_frontier(fixture_dir, cfg).to_pandas()
-    host = fdf["host"].value_counts().index[0]
+    host = frontier_df["host"].value_counts().index[0]
     overrides = {host: (60.0, 40)}  # 40-burst, 6/tick refill → binds, few rounds
 
     sched = scheduler.run_scheduled_crawl(
@@ -587,15 +636,58 @@ def test_batch_enforce_schedule_equals_scheduler(fixture_dir):
     pd.testing.assert_frame_equal(batch["wide"], sched["wide"])
 
 
-def test_batch_enforce_rejects_zero_rate_host(fixture_dir):
-    from cninfo_crawler_ray.pipelines import stage1
+def _track_frontiers(monkeypatch) -> list:
+    """Every ShardedFrontier made from here to the test's end."""
+    made = []
+    real_init = ShardedFrontier.__init__
 
+    def init(self, *a, **kw):
+        real_init(self, *a, **kw)
+        made.append(self)
+
+    monkeypatch.setattr(ShardedFrontier, "__init__", init)
+    return made
+
+
+def _assert_actors_ended(frontiers) -> None:
+    import ray
+
+    for fr in frontiers:
+        for shard in fr.shards:
+            with pytest.raises(ray.exceptions.RayActorError):
+                ray.get(shard.size.remote(), timeout=60)
+
+
+def test_batch_enforce_rejects_zero_rate_host(fixture_dir, frontier_df,
+                                             monkeypatch):
+    """A zero-refill host that runs out raises, and the failed crawl still
+    ends its range actors."""
     cfg = CrawlConfig()
-    fdf = stage1.build_frontier(fixture_dir, cfg).to_pandas()
-    host = fdf["host"].value_counts().index[0]
+    host = frontier_df["host"].value_counts().index[0]
+    made = _track_frontiers(monkeypatch)
     with pytest.raises(ValueError, match="zero-refill"):
         crawl.run_crawl(N, cfg, concurrency=1,
                         gate_overrides={host: (0.0, 1)})
+    assert len(made) == 1
+    _assert_actors_ended(made)
+
+
+def test_host_counts_sum_per_block_counts(ray_session):
+    """run_crawl's host counts: per-block value counts summed on the driver
+    equal one value_counts over the whole frame, with a host whose rows
+    span blocks and an empty block among the three; an empty Dataset has
+    no hosts."""
+    import pyarrow as pa
+    import ray.data as rd
+
+    df = pd.DataFrame({"host": ["a", "b", "a", "c", "a", "b", "d"],
+                       "order_key": np.arange(7, dtype=np.int64)})
+    t = pa.Table.from_pandas(df, preserve_index=False)
+    blocks = [t.slice(0, 3), t.slice(3, 0), t.slice(3)]  # "a", "b" span
+    ds = rd.from_arrow(blocks)
+    assert ds.num_blocks() == 3
+    assert crawl._host_counts(ds) == df["host"].value_counts().to_dict()
+    assert crawl._host_counts(rd.from_arrow(t.slice(0, 0))) == {}
 
 
 # ---------------------------------------------------------------------------
@@ -607,6 +699,17 @@ def test_run_crawl_fetches_each_admitted_url_once(fixture_dir, stage_rows):
     rows = stage_rows()
     assert rows["stage1"] == out["counters"]["frontier_rows"]
     assert rows["fetch_decode"] == out["counters"]["seen_admitted"] > 0
+
+
+def test_crawls_end_their_range_actors(fixture_dir, monkeypatch):
+    """Both crawl paths end their range actors when done with them: map
+    tasks handed the shard handles can otherwise keep each crawl's actor
+    processes alive after the crawl returns."""
+    made = _track_frontiers(monkeypatch)
+    crawl.run_crawl(N)
+    scheduler.run_scheduled_crawl(fixture_dir)
+    assert len(made) == 2
+    _assert_actors_ended(made)
 
 
 def test_scheduled_crawl_runs_stage1_once(fixture_dir, stage_rows):

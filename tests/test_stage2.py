@@ -3,6 +3,7 @@ plus the per-row invariant (PSNR ≥ 40 dB lossy / exact lossless + exact
 caption equality) and the payload sink's skip-if-exists resume. Checkpointed
 resume is the scheduler's (tests/test_scheduler.py)."""
 
+import inspect
 import json
 
 import numpy as np
@@ -67,6 +68,32 @@ def test_wide_matches_oracle(fixture_dir, engine_frontier, oracle_out):
     want = o_wide.reset_index(drop=True)
     assert len(got) > 10
     pd.testing.assert_frame_equal(got, want.astype(got.dtypes.to_dict()))
+
+
+def test_reports_sizes_wide_pivot_from_row_count(fixture_dir, engine_frontier,
+                                                monkeypatch):
+    """``reports`` sizes the wide pivot from the materialized long rows'
+    count (no count pass), and the wide frame equals the counting path's."""
+    decoded = stage2.fetch_decode(engine_frontier, f"{fixture_dir}/corpus.parquet", CrawlConfig())
+    long_ds = stage2.long_from_decoded(decoded).materialize()
+    real = stage2.bucketed_map_groups
+    want = stage2.wide_view(real(long_ds, ["PDF链接"], stage2._wide_bucket,
+                                 auto_parallelism=True))
+
+    calls = []
+
+    def spy(*args, **kwargs):
+        bound = inspect.signature(real).bind(*args, **kwargs)
+        bound.apply_defaults()
+        calls.append(bound.arguments)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(stage2, "bucketed_map_groups", spy)
+    long_df, wide_df = stage2.reports(long_ds)
+    assert len(calls) == 1
+    assert calls[0]["nrows_hint"] == len(long_df) > 0
+    assert calls[0]["auto_parallelism"] is False
+    pd.testing.assert_frame_equal(wide_df, want)
 
 
 def test_per_row_invariant_psnr_caption(fixture_dir, engine_frontier, corpus_df):
